@@ -171,6 +171,32 @@ void BM_ReduceSlice_Wide96_Auto(benchmark::State& state) {
 }
 BENCHMARK(BM_ReduceSlice_Wide96_Auto)->Unit(benchmark::kMillisecond);
 
+// The slowest reduce of the Delta=2 l=3 survey: d2l3-n13-e34 of the
+// exhaustive family (N_2 = {aa, ac, bb}, E = {ab, cc}, every degree-1
+// configuration) reaches a 511-label, 128631-configuration R iterate after
+// two reduced f = Rbar o R steps, and reduce() shrinks it to 14 labels. The
+// iterate is built once, outside the timed loop.
+NodeEdgeCheckableLcl d2l3_wide_iterate() {
+  NodeEdgeCheckableLcl::Builder b("d2l3-n13-e34", Alphabet({"-"}),
+                                  Alphabet({"a", "b", "c"}),
+                                  /*max_degree=*/2);
+  b.allow_node({0, 0}).allow_node({0, 2}).allow_node({1, 1});
+  b.allow_node({0}).allow_node({1}).allow_node({2});
+  b.allow_edge(0, 1).allow_edge(2, 2);
+  b.unrestricted_inputs();
+  NodeEdgeCheckableLcl current = b.build();
+  for (int half = 0; half < 4; ++half) {
+    const ReStep step = half % 2 == 0 ? apply_r(current) : apply_rbar(current);
+    current = reduce(step.problem).problem;
+  }
+  return apply_r(current).problem;
+}
+
+void BM_ReduceSlice_D2L3_511(benchmark::State& state) {
+  run_reduce_slice(state, d2l3_wide_iterate(), ReKernel::kAuto);
+}
+BENCHMARK(BM_ReduceSlice_D2L3_511)->Unit(benchmark::kMillisecond);
+
 #define ABLATION_BENCH(name, expr)                              \
   void BM_Ablation_##name##_Reduced(benchmark::State& state) {  \
     run_ablation(state, expr, true);                            \

@@ -141,9 +141,14 @@ class Cache {
   /// incomplete form is ignored and only the exact tier is probed (an
   /// exhausted branch-and-bound is no longer permutation-invariant).
   /// With the tier off this is `find` with identity evidence.
+  /// `computed`, when given, receives the canonical form the lookup
+  /// computed itself (an exact-tier miss with the tier on and no `form`),
+  /// so a following `insert` of the same problem can reuse it instead of
+  /// running the orbit search again; it stays empty otherwise.
   std::optional<CanonicalHit> find_canonical(
       std::string_view kind, const NodeEdgeCheckableLcl& problem,
-      const lint::CanonicalForm* form = nullptr);
+      const lint::CanonicalForm* form = nullptr,
+      std::optional<lint::CanonicalForm>* computed = nullptr);
 
   /// Inserts (and appends to disk). A duplicate of an existing confirmed
   /// entry is a no-op, so re-running a survey over a warm cache does not

@@ -52,12 +52,12 @@ std::string degrees_tag(const std::vector<int>& degrees) {
 /// payloads names a label, so a canonical-tier hit can be replayed verbatim
 /// - the permutation evidence degenerates to "no field needs mapping". With
 /// the tier off this is exactly the raw confirmed lookup.
-std::optional<json::Value> cache_find(Cache* cache, const std::string& kind,
-                                      const NodeEdgeCheckableLcl& problem,
-                                      const lint::CanonicalForm* form =
-                                          nullptr) {
+std::optional<json::Value> cache_find(
+    Cache* cache, const std::string& kind, const NodeEdgeCheckableLcl& problem,
+    const lint::CanonicalForm* form = nullptr,
+    std::optional<lint::CanonicalForm>* computed = nullptr) {
   if (cache == nullptr) return std::nullopt;
-  if (auto hit = cache->find_canonical(kind, problem, form)) {
+  if (auto hit = cache->find_canonical(kind, problem, form, computed)) {
     return std::move(hit->value);
   }
   return std::nullopt;
@@ -73,11 +73,13 @@ void cache_put(Cache* cache, const std::string& kind,
 }
 
 /// 0-round solvability through the cache (the verdict depends on the degree
-/// set, so it is part of the kind).
+/// set, so it is part of the kind). A miss hands the canonical form its
+/// lookup computed to the insert, so the orbit search runs once.
 bool zero_round_cached(const NodeEdgeCheckableLcl& problem,
                        const std::vector<int>& degrees, Cache* cache) {
   const std::string kind = "zr:" + degrees_tag(degrees);
-  if (const auto hit = cache_find(cache, kind, problem)) {
+  std::optional<lint::CanonicalForm> form;
+  if (const auto hit = cache_find(cache, kind, problem, nullptr, &form)) {
     if (const auto* solvable = hit->find("solvable");
         solvable != nullptr && solvable->is_bool()) {
       return solvable->as_bool();
@@ -86,7 +88,7 @@ bool zero_round_cached(const NodeEdgeCheckableLcl& problem,
   const bool solvable = zero_round_solvable(problem, degrees);
   json::Value value = json::Value::make_object();
   value.object()["solvable"] = json::Value(solvable);
-  cache_put(cache, kind, problem, value);
+  cache_put(cache, kind, problem, value, form ? &*form : nullptr);
   return solvable;
 }
 

@@ -231,7 +231,8 @@ NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_node(
         "Builder::allow_node: configuration size must be in [1, max_degree]");
   }
   for (auto l : labels) check_output_label(l);
-  problem_.node_[labels.size()].insert(Configuration(labels));
+  auto& bucket = problem_.node_[labels.size()];
+  bucket.insert(bucket.end(), Configuration(labels));
   return *this;
 }
 
@@ -261,7 +262,7 @@ NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_edge(
     Label a, Label b) {
   check_output_label(a);
   check_output_label(b);
-  problem_.edge_.insert(Configuration::pair(a, b));
+  problem_.edge_.insert(problem_.edge_.end(), Configuration::pair(a, b));
   problem_.edge_partners_[a].insert(b);
   problem_.edge_partners_[b].insert(a);
   return *this;

@@ -113,11 +113,12 @@ class NodeEdgeCheckableLcl::Builder {
   Builder(std::string name, Alphabet input, Alphabet output, int max_degree);
 
   /// Allows the node configuration given by `labels` (its degree is
-  /// `labels.size()`).
+  /// `labels.size()`). Both overloads, like `allow_edge`, hint the set
+  /// insertion at the end, which is amortized O(1) when configurations
+  /// arrive in increasing canonical order - exactly how the
+  /// round-elimination kernels and `reduce()` emit them.
   Builder& allow_node(const std::vector<Label>& labels);
-  /// Move overload: additionally hints the set insertion at the end, which
-  /// is amortized O(1) when configurations arrive in increasing canonical
-  /// order - exactly how the round-elimination kernels enumerate them.
+  /// Move overload: additionally reuses the label vector.
   Builder& allow_node(std::vector<Label>&& labels);
 
   /// Convenience overload taking label names in the output alphabet.

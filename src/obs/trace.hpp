@@ -115,7 +115,7 @@ class TraceSession {
 /// the constructor is one pointer load and the destructor a branch.
 class ScopedSpan {
  public:
-  static constexpr std::size_t kMaxArgs = 4;
+  static constexpr std::size_t kMaxArgs = 6;
 
   ScopedSpan(const char* name, const char* category) noexcept
       : session_(TraceSession::current()), name_(name), category_(category) {

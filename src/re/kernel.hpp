@@ -13,10 +13,10 @@ namespace lcl {
 /// stored configuration (a sorted multiset of output labels) is packed into
 /// a 64- or 128-bit key and hashed exactly once at construction; membership
 /// probes are then one pack + one flat hash lookup instead of an ordered-set
-/// walk with vector comparisons. This is the shared lookup structure of the
-/// mask kernels (`ReKernel::kMask` and the wider tiers) and of `reduce()`'s
-/// dominated-label pass, both of which probe the same configurations over
-/// and over across different derived multisets.
+/// walk with vector comparisons. This is the lookup structure of the mask
+/// kernels (`ReKernel::kMask` and the wider tiers), which probe the same
+/// configurations over and over across different derived multisets;
+/// `reduce()` keeps sorted keys in the same packing.
 ///
 /// Packing uses `bits_per_label = bit_width(|Sigma_out| - 1)` bits per
 /// label; a degree packs into one word when `degree * bits_per_label <= 64`

@@ -317,8 +317,9 @@ void HttpServer::accept_loop() {
       ::close(client);
       continue;
     }
-    // Detached: serve_connection's last act is the tracked decrement, so
-    // drain() waiting on live_connections_ == 0 is a complete barrier.
+    // Detached: serve_connection's last act is the tracked decrement and
+    // its notify, both under conn_mutex_, so drain() waiting on
+    // live_connections_ == 0 is a complete barrier.
     std::thread([this, client] { serve_connection(client); }).detach();
   }
   ::close(listen_fd_);
@@ -461,10 +462,11 @@ void HttpServer::serve_connection(int fd) {
   }
 
   ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    --live_connections_;
-  }
+  // Notify under the lock: once drain() sees zero it may return and the
+  // server be destroyed, so this thread must be done with conn_cv_ before
+  // it releases conn_mutex_.
+  std::lock_guard<std::mutex> lock(conn_mutex_);
+  --live_connections_;
   conn_cv_.notify_all();
 }
 

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
 #include "core/problems.hpp"
+#include "obs/obs.hpp"
+#include "obs/trace_reader.hpp"
 #include "re/reduce.hpp"
 
 namespace lcl {
@@ -184,6 +193,181 @@ TEST(Reduce, RApplicationShrinks) {
   const auto red = reduce(step.problem);
   EXPECT_LT(red.problem.output_alphabet().size(), 7u);
 }
+
+TEST(Reduce, TrimmingThatEmptiesTheNodeConstraintThrows) {
+  // `dead` has no edge partner; trimming it removes every node
+  // configuration, although x and y are usable themselves.
+  Alphabet in({"-"});
+  Alphabet out({"x", "y", "dead"});
+  NodeEdgeCheckableLcl::Builder b("emptied", in, out, 2);
+  b.allow_node({0, 2}).allow_node({1, 2});
+  b.allow_edge(0, 1);
+  b.unrestricted_inputs();
+  try {
+    reduce(b.build());
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trimming emptied"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("no node configuration"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+#if LCL_OBS
+/// Reduces `problem` under a trace session and returns the args of the
+/// `re/reduce` span it records.
+std::map<std::string, std::int64_t> traced_reduce(
+    const NodeEdgeCheckableLcl& problem, Reduction& out) {
+  const std::string path =
+      testing::TempDir() + "lcl_reduce_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".jsonl";
+  {
+    obs::TraceSession session(path, obs::TraceFormat::kJsonl);
+    obs::TraceSession* previous = obs::TraceSession::set_current(&session);
+    out = reduce(problem);
+    obs::TraceSession::set_current(previous);
+    session.close();
+  }
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  obs::ParsedTrace trace;
+  std::string error;
+  EXPECT_TRUE(obs::parse_trace(text.str(), &trace, &error)) << error;
+  for (const auto& record : trace.records) {
+    if (record.kind == obs::TraceRecord::Kind::kSpan &&
+        record.name == "re/reduce") {
+      return record.args;
+    }
+  }
+  ADD_FAILURE() << "no re/reduce span in " << path;
+  return {};
+}
+#endif  // LCL_OBS
+
+TEST(Reduce, DominationChainDropsInOnePass) {
+  // x < y < z strictly, through nested g-preimages; every other feature is
+  // shared. u holds an input no other label has, so nothing dominates it.
+  Alphabet in({"i0", "i1", "i2", "i3"});
+  Alphabet out({"x", "y", "z", "u"});
+  NodeEdgeCheckableLcl::Builder b("chain", in, out, 1);
+  b.allow_node({0}).allow_node({1}).allow_node({2}).allow_node({3});
+  for (Label a = 0; a < 3; ++a) {
+    for (Label c = a; c < 3; ++c) b.allow_edge(a, c);
+  }
+  b.allow_edge(3, 3).allow_edge(2, 3);
+  for (const Label l : {0u, 1u, 2u}) b.allow_output_for_input(0, l);
+  for (const Label l : {1u, 2u}) b.allow_output_for_input(1, l);
+  b.allow_output_for_input(2, 2);
+  b.allow_output_for_input(3, 3);
+  const auto problem = b.build();
+
+  Reduction red;
+#if LCL_OBS
+  const auto args = traced_reduce(problem, red);
+  EXPECT_EQ(args.at("dominate_passes"), 1);
+  EXPECT_EQ(args.at("dominated"), 2);
+  EXPECT_EQ(args.at("trim_passes"), 0);
+  EXPECT_EQ(args.at("merge_passes"), 0);
+  EXPECT_EQ(args.at("labels_in"), 4);
+  EXPECT_EQ(args.at("labels_out"), 2);
+#else
+  red = reduce(problem);
+#endif
+  // Both dropped labels follow the maximal dominator z, not y.
+  EXPECT_EQ(red.old_to_new, (std::vector<Label>{0, 0, 0, 1}));
+  EXPECT_EQ(red.new_to_old, (std::vector<Label>{2, 3}));
+  EXPECT_EQ(red.problem.output_alphabet().name(0), "z");
+  EXPECT_EQ(red.problem.output_alphabet().name(1), "u");
+}
+
+TEST(Reduce, MutualTieKeepsTheSmallerLabel) {
+  // p (1) and q (3) dominate each other - equal partners, g-preimages and
+  // node contexts - so they tie; merge catches ties before the dominate
+  // pass, and either way the smaller label represents the class.
+  Alphabet in({"-"});
+  Alphabet out({"x", "p", "y", "q"});
+  NodeEdgeCheckableLcl::Builder b("tie", in, out, 2);
+  b.allow_node({0, 1}).allow_node({0, 3}).allow_node({0, 2});
+  b.allow_node({0}).allow_node({1}).allow_node({2}).allow_node({3});
+  b.allow_edge(0, 1).allow_edge(0, 3).allow_edge(2, 2);
+  b.unrestricted_inputs();
+  const auto red = reduce(b.build());
+  ASSERT_EQ(red.problem.output_alphabet().size(), 3u);
+  EXPECT_EQ(red.old_to_new[1], red.old_to_new[3]);
+  EXPECT_EQ(red.new_to_old[red.old_to_new[3]], 1u);
+  EXPECT_EQ(red.problem.output_alphabet().name(red.old_to_new[3]), "p");
+}
+
+TEST(Reduce, DegreesPastOneWordKeepLabelVectors) {
+  // 5 labels pack 3 bits each, so degree 22 (66 bits) is stored as label
+  // vectors while degree 1 packs. Label 4 has no node configuration
+  // (trim); 1, 2 and 3 share every feature (merge); their class is
+  // dominated by 0 (dominate).
+  Alphabet out({"a", "b", "c", "d", "e"});
+  NodeEdgeCheckableLcl::Builder b("wide-degree", Alphabet({"-"}), out, 22);
+  std::vector<Label> config(22, 0);
+  b.allow_node(config);
+  for (const Label x : {1u, 2u, 3u}) {
+    config.back() = x;
+    b.allow_node(config);
+  }
+  for (const Label x : {0u, 1u, 2u, 3u}) b.allow_node({x});
+  for (Label a = 0; a < 5; ++a) {
+    for (Label c = a; c < 5; ++c) b.allow_edge(a, c);
+  }
+  b.unrestricted_inputs();
+  const auto problem = b.build();
+  for (const ReKernel kernel : {ReKernel::kGeneric, ReKernel::kAuto}) {
+    const auto red = reduce(problem, kernel);
+    EXPECT_EQ(red.old_to_new,
+              (std::vector<Label>{0, 0, 0, 0, Reduction::kDropped}));
+    EXPECT_EQ(red.new_to_old, (std::vector<Label>{0}));
+    EXPECT_EQ(red.problem.node_configs(22).size(), 1u);
+    EXPECT_TRUE(red.problem.node_allows(
+        Configuration(std::vector<Label>(22, 0))));
+    EXPECT_EQ(red.problem.node_configs(1).size(), 1u);
+    EXPECT_EQ(red.problem.edge_configs().size(), 1u);
+  }
+}
+
+#if LCL_OBS
+TEST(Reduce, FiveHundredElevenLabelIterateReducesInOneMergePass) {
+  // d2l3-n13-e34 of the exhaustive Delta=2, 3-label family: N_2 = {aa, ac,
+  // bb}, E = {ab, cc}, every degree-1 configuration. Its third R iterate
+  // has 511 labels and 128631 node configurations, and shrinks to 14 - the
+  // slowest reduce of the Delta=2 l=3 survey. The pass counts, not the
+  // wall time, pin how much work that takes.
+  Alphabet out({"a", "b", "c"});
+  NodeEdgeCheckableLcl::Builder b("d2l3-n13-e34", Alphabet({"-"}), out, 2);
+  b.allow_node({0, 0}).allow_node({0, 2}).allow_node({1, 1});
+  b.allow_node({0}).allow_node({1}).allow_node({2});
+  b.allow_edge(0, 1).allow_edge(2, 2);
+  b.unrestricted_inputs();
+  NodeEdgeCheckableLcl current = b.build();
+  for (int half = 0; half < 4; ++half) {
+    const ReStep step = half % 2 == 0 ? apply_r(current) : apply_rbar(current);
+    current = reduce(step.problem).problem;
+  }
+  const ReStep wide = apply_r(current);
+  ASSERT_EQ(wide.problem.output_alphabet().size(), 511u);
+
+  Reduction red;
+  const auto args = traced_reduce(wide.problem, red);
+  EXPECT_EQ(red.problem.output_alphabet().size(), 14u);
+  EXPECT_EQ(args.at("labels_in"), 511);
+  EXPECT_EQ(args.at("labels_out"), 14);
+  // One merge pass collapses it: its labels fall into 14 classes of equal
+  // features, so no domination is left to drop.
+  EXPECT_EQ(args.at("merge_passes"), 1);
+  EXPECT_EQ(args.at("trim_passes"), 0);
+  EXPECT_EQ(args.at("dominate_passes"), 0);
+  EXPECT_EQ(args.at("dominated"), 0);
+}
+#endif  // LCL_OBS
 
 }  // namespace
 }  // namespace lcl

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -272,6 +273,35 @@ TEST(SvcHttpServer, ConcurrentClientsAllServed) {
   EXPECT_EQ(ok.load(), kThreads * kRequests);
   EXPECT_EQ(server.requests_served(),
             static_cast<std::uint64_t>(kThreads * kRequests));
+}
+
+TEST(SvcHttpServer, DestroyRightAfterLastResponseWaitsForConnectionThreads) {
+  // Connection threads detach, and each one's last touch of the server is
+  // its decrement-and-notify. Destroying the server right after the last
+  // response must not free conn_cv_ under a thread still notifying it (the
+  // obs-tsan job runs this under ThreadSanitizer).
+  constexpr int kRounds = 10;
+  constexpr int kClients = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    auto server = std::make_unique<HttpServer>(echo_options());
+    ASSERT_TRUE(server->start()) << server->error();
+    const std::uint16_t port = server->port();
+    std::atomic<int> ok{0};
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([port, &ok]() {
+        const auto response =
+            http_request("127.0.0.1", port, "POST", "/echo", "ping");
+        if (response.status == 200 && response.body == "POST /echo ping") {
+          ok.fetch_add(1);
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    server.reset();
+    EXPECT_EQ(ok.load(), kClients) << "round " << round;
+  }
 }
 
 /// One-shot fake server: accepts a single connection, sends `script`

@@ -4,8 +4,10 @@
 //   bench_diff --baseline=OLD.json --current=NEW.json [--max-regress=0.25]
 //       Match benchmarks by name and fail when any current wall time
 //       exceeds its baseline by more than the threshold (default +25%).
-//       Benchmarks present on only one side are reported but not fatal -
-//       renames must not brick CI.
+//       A baseline row missing from the current run fails too: renaming or
+//       dropping a pinned bench must not remove its gate unnoticed (a
+//       rename lands together with its re-pinned baseline row). Rows only
+//       in the current run are reported as NEW and pass.
 //
 //   bench_diff --current=RUN.json --min-speedup=SLOW:FAST:X
 //       Machine-independent ratio gate within one document: fail unless
@@ -36,6 +38,8 @@ int usage(std::ostream& out, int code) {
   out << "usage: bench_diff [options]\n"
          "  --baseline=FILE        lclscape.bench.v1 document to compare "
          "against\n"
+         "                         (a baseline row missing from --current "
+         "fails)\n"
          "  --current=FILE         document under test (required)\n"
          "  --max-regress=FRAC     allowed wall-time growth vs baseline\n"
          "                         (default 0.25 = +25%)\n"
@@ -189,6 +193,7 @@ int main(int argc, char** argv) {
       const auto found = current->find(name);
       if (found == current->end()) {
         std::cout << "MISSING  " << name << " (in baseline only)\n";
+        failed = true;
         continue;
       }
       const double ratio = base_ns > 0 ? found->second / base_ns : 1.0;
