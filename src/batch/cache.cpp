@@ -318,13 +318,11 @@ std::optional<Cache::CanonicalHit> Cache::find_canonical(
           for (std::size_t e = 0; e < k; ++e) {
             old_to_new[e] = form->new_to_old[it->canonical_old_to_new[e]];
           }
-          // Confirmed exactly, mirroring the raw tier: relabel the stored
-          // constraints through the evidence map and compare. A canonical
-          // signature collision therefore costs one rebuild, never a wrong
-          // answer.
-          const auto permuted = lint::build_spec(lint::permute_spec(
-              lint::spec_from_problem(it->problem), old_to_new));
-          if (same_constraints(permuted, problem)) {
+          // Confirmed exactly, mirroring the raw tier: the stored
+          // constraints, relabeled through the evidence map, must be the
+          // query's. A canonical signature collision therefore costs one
+          // comparison, never a wrong answer.
+          if (same_constraints_permuted(it->problem, old_to_new, problem)) {
             lru_.splice(lru_.begin(), lru_, it);  // touch for LRU
             ++stats_.canonical_hits;
             LCL_OBS_COUNTER_ADD("cache.canonical_hits", 1);

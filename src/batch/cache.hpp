@@ -92,8 +92,9 @@ class Cache {
     /// `find_canonical` can serve a stored verdict for any
     /// permutation-equivalent problem, returning the label permutation as
     /// evidence. Costs one orbit search per insert/lookup; every canonical
-    /// hit is confirmed exactly (permute + `same_constraints`) before being
-    /// served, mirroring the raw tier's collision safety.
+    /// hit is confirmed exactly (`same_constraints_permuted` through the
+    /// evidence map) before being served, mirroring the raw tier's
+    /// collision safety.
     bool canonical_tier = false;
     /// When non-empty, a fresh disk tier starts with a provenance meta line
     /// `{"meta":"lclscape.cachetier.v1","git_sha":...}` recording the
@@ -134,8 +135,9 @@ class Cache {
 
   /// Two-tier confirmed lookup: the exact tier first (identity evidence);
   /// on miss, when `Options::canonical_tier` is on, any stored
-  /// permutation-equivalent problem of this `kind` (confirmed by permuting
-  /// its constraints through the evidence map and comparing exactly).
+  /// permutation-equivalent problem of this `kind` (confirmed by comparing
+  /// its constraints, mapped through the evidence map, exactly with the
+  /// query's; no relabeled copy is built).
   /// Callers that already computed the query's canonical form pass it via
   /// `form` to skip the second orbit search; `form` must be complete - an
   /// incomplete form is ignored and only the exact tier is probed (an

@@ -113,7 +113,9 @@ std::vector<std::uint64_t> label_invariant(const NodeEdgeCheckableLcl& p,
 }
 
 /// True iff relabeling `a` through `perm` (old label -> new label) yields
-/// exactly `b`'s constraint system.
+/// exactly `b`'s constraint system. `perm` must be a bijection and the
+/// alphabet sizes and max degrees must agree: then the mapped sets have
+/// `a`'s sizes, so equal sizes plus containment in `b` is equality.
 bool permutation_matches(const NodeEdgeCheckableLcl& a,
                          const NodeEdgeCheckableLcl& b,
                          const std::vector<Label>& perm) {
@@ -142,6 +144,30 @@ bool permutation_matches(const NodeEdgeCheckableLcl& a,
 }
 
 }  // namespace
+
+bool same_constraints_permuted(const NodeEdgeCheckableLcl& a,
+                               const std::vector<Label>& a_to_b,
+                               const NodeEdgeCheckableLcl& b) {
+  const std::size_t k = a.output_alphabet().size();
+  if (a_to_b.size() != k) {
+    throw std::invalid_argument(
+        "same_constraints_permuted: permutation size does not match the "
+        "output alphabet");
+  }
+  LabelSet image(k);
+  for (const auto l : a_to_b) {
+    if (l >= k || image.contains(l)) {
+      throw std::invalid_argument(
+          "same_constraints_permuted: a_to_b is not a permutation");
+    }
+    image.insert(l);
+  }
+  if (a.input_alphabet().size() != b.input_alphabet().size() ||
+      k != b.output_alphabet().size() || a.max_degree() != b.max_degree()) {
+    return false;
+  }
+  return permutation_matches(a, b, a_to_b);
+}
 
 bool isomorphic_constraints(const NodeEdgeCheckableLcl& a,
                             const NodeEdgeCheckableLcl& b,

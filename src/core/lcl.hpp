@@ -92,6 +92,17 @@ class NodeEdgeCheckableLcl {
 bool same_constraints(const NodeEdgeCheckableLcl& a,
                       const NodeEdgeCheckableLcl& b);
 
+/// `same_constraints` between `b` and `a` with its output labels renamed
+/// through `a_to_b` (old index -> new index; inputs stay put): every node
+/// configuration, edge configuration and `g` set of `a`, mapped label by
+/// label, must be exactly `b`'s. Answers what building the relabeled copy
+/// of `a` and comparing it would, without building it - the canonical
+/// cache tier confirms its hits this way. Throws `std::invalid_argument`
+/// when `a_to_b` is not a permutation of `a`'s output alphabet.
+bool same_constraints_permuted(const NodeEdgeCheckableLcl& a,
+                               const std::vector<Label>& a_to_b,
+                               const NodeEdgeCheckableLcl& b);
+
 /// True iff some permutation of the *output* labels (identity on inputs)
 /// maps `a`'s constraint system exactly onto `b`'s - i.e. the problems are
 /// equal up to renaming output labels. Backtracking over permutations,

@@ -1,8 +1,10 @@
 #include "svc/http.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,14 +20,60 @@ namespace lcl::svc {
 
 namespace {
 
+// Every blocking socket call below retries EINTR: the kernel never restarts
+// poll(), nor recv()/send() on a socket with a timeout, even under
+// SA_RESTART, so any signal the process handles would otherwise drop or
+// truncate a request.
+
 void write_all(int fd, std::string_view data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
     const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
                              MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return;
     sent += static_cast<std::size_t>(n);
   }
+}
+
+ssize_t recv_some(int fd, char* buffer, std::size_t size) {
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, size, 0);
+    if (n >= 0 || errno != EINTR) return n;
+  }
+}
+
+/// connect() that survives a signal. An interrupted connect keeps going
+/// in the background, so this waits for the socket to turn writable and
+/// reads the outcome from SO_ERROR rather than calling connect again.
+/// Returns 0 or an errno value.
+int connect_socket(int fd, const sockaddr_in& addr, int timeout_seconds) {
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0) {
+    return 0;
+  }
+  if (errno != EINTR) return errno;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(timeout_seconds);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return ETIMEDOUT;
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLOUT;
+    const int ready = ::poll(
+        &pfd, 1, static_cast<int>(std::min<std::int64_t>(left, INT_MAX)));
+    if (ready > 0) break;
+    if (ready < 0 && errno != EINTR) return errno;
+  }
+  int error = 0;
+  socklen_t length = sizeof(error);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &length) != 0) {
+    return errno;
+  }
+  return error;
 }
 
 /// Opens a bound, listening IPv4 socket; returns -1 with `error` set.
@@ -273,13 +321,19 @@ void HttpServer::drain() {
   if (!running()) return;
   draining_.store(true, std::memory_order_release);
   // Join the accept thread first: once it is gone (it closes the listen
-  // socket on exit, so later connects are refused) the connection count can
-  // only fall, and waiting for zero is race-free.
+  // socket on exit, so later connects are refused) nothing is queued any
+  // more, and the connection count can only fall.
   if (accept_thread_.joinable()) accept_thread_.join();
   {
-    std::unique_lock<std::mutex> lock(conn_mutex_);
-    conn_cv_.wait(lock, [this] { return live_connections_ == 0; });
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    stopping_threads_ = true;
   }
+  work_cv_.notify_all();
+  // A connection thread exits only when it serves no connection and none
+  // is queued, so joining every one waits out every live connection.
+  for (auto& thread : threads_) thread.join();
+  threads_.clear();
+  stopping_threads_ = false;  // no thread left to read it
   // The listener is closed and every connection finished: the server is no
   // longer running (start() may be called again).
   running_.store(false, std::memory_order_release);
@@ -300,12 +354,18 @@ void HttpServer::accept_loop() {
     if (client < 0) continue;
 
     bool reject = false;
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       if (live_connections_ >= options_.max_connections) {
         reject = true;
       } else {
         ++live_connections_;
+        pending_.push_back(client);
+        wake = idle_threads_ >= pending_.size();
+        // The new thread counts as idle until it takes a socket. Threads =
+        // idle + serving = live connections here, so the cap holds.
+        if (!wake) ++idle_threads_;
       }
     }
     if (reject) {
@@ -317,13 +377,35 @@ void HttpServer::accept_loop() {
       ::close(client);
       continue;
     }
-    // Detached: serve_connection's last act is the tracked decrement and
-    // its notify, both under conn_mutex_, so drain() waiting on
-    // live_connections_ == 0 is a complete barrier.
-    std::thread([this, client] { serve_connection(client); }).detach();
+    if (wake) {
+      work_cv_.notify_one();
+    } else {
+      threads_.emplace_back([this] { connection_thread(); });
+    }
   }
   ::close(listen_fd_);
   listen_fd_ = -1;
+}
+
+void HttpServer::connection_thread() {
+  std::unique_lock<std::mutex> lock(conn_mutex_);
+  for (;;) {
+    work_cv_.wait(lock,
+                  [this] { return !pending_.empty() || stopping_threads_; });
+    if (pending_.empty()) break;  // stopping, and nothing left to serve
+    const int fd = pending_.front();
+    pending_.pop_front();
+    --idle_threads_;
+    lock.unlock();
+    serve_connection(fd);
+    lock.lock();
+    ++idle_threads_;
+    --live_connections_;
+    // Closed once this thread counts as idle again: a client that waits
+    // for the close before connecting again finds it parked.
+    ::close(fd);
+  }
+  --idle_threads_;
 }
 
 void HttpServer::serve_connection(int fd) {
@@ -368,13 +450,13 @@ void HttpServer::serve_connection(int fd) {
       pfd.fd = fd;
       pfd.events = POLLIN;
       const int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0) {
+      if (ready < 0 && errno != EINTR) {
         peer_closed = true;
         break;
       }
-      if (ready == 0) continue;
+      if (ready <= 0) continue;
       char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      const ssize_t n = recv_some(fd, chunk, sizeof(chunk));
       if (n <= 0) {
         // A torn request (peer died mid-send) cannot be answered; drop it.
         peer_closed = true;
@@ -421,10 +503,10 @@ void HttpServer::serve_connection(int fd) {
         pfd.fd = fd;
         pfd.events = POLLIN;
         const int ready = ::poll(&pfd, 1, 100);
-        if (ready < 0) break;
-        if (ready == 0) continue;
+        if (ready < 0 && errno != EINTR) break;
+        if (ready <= 0) continue;
         char chunk[4096];
-        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        const ssize_t n = recv_some(fd, chunk, sizeof(chunk));
         if (n <= 0) break;  // torn body: peer died mid-send
         buffer.append(chunk, static_cast<std::size_t>(n));
       }
@@ -460,14 +542,6 @@ void HttpServer::serve_connection(int fd) {
     write_all(fd, render_response(response, keep));
     close_connection = !keep;
   }
-
-  ::close(fd);
-  // Notify under the lock: once drain() sees zero it may return and the
-  // server be destroyed, so this thread must be done with conn_cv_ before
-  // it releases conn_mutex_.
-  std::lock_guard<std::mutex> lock(conn_mutex_);
-  --live_connections_;
-  conn_cv_.notify_all();
 }
 
 const std::string* HttpClientResponse::header(
@@ -499,10 +573,11 @@ HttpClientResponse http_request(const std::string& host, std::uint16_t port,
     ::close(fd);
     throw std::runtime_error("http_request: bad host '" + host + "'");
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
+  if (const int error = connect_socket(fd, addr, options.timeout_seconds);
+      error != 0) {
     ::close(fd);
-    throw std::runtime_error("http_request: connect failed: " + reason);
+    throw std::runtime_error(std::string("http_request: connect failed: ") +
+                             std::strerror(error));
   }
 
   std::string request = method + " " + path + " HTTP/1.1\r\nHost: " + host +
@@ -518,7 +593,7 @@ HttpClientResponse http_request(const std::string& host, std::uint16_t port,
   std::string response;
   char chunk[4096];
   for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = recv_some(fd, chunk, sizeof(chunk));
     if (n < 0) {
       const std::string reason = std::strerror(errno);
       ::close(fd);

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -58,22 +59,28 @@ const char* status_reason(int status) noexcept;
 /// Dependency-free threaded HTTP/1.1 server - the shared transport under
 /// `obs::Exporter` (metrics scrapes) and `svc::Service` (the lcld API).
 ///
-/// Model: one accept thread plus one thread per live connection, capped by
-/// `Options::max_connections` (beyond the cap a connection is answered
-/// `503` and closed before a thread is spawned). Connections are keep-alive
-/// by default; each parsed request is handed to `Options::handler`, whose
-/// exceptions map to a plain `500`. The server itself answers the
-/// *transport*-level errors - `400` malformed request line/headers, `408`
-/// read timeout on a partial request, `413` body over `max_body_bytes`,
-/// `431` headers over `max_header_bytes`, `501` chunked transfer encoding -
-/// always with `Connection: close`. Routing-level `404`/`405` are the
-/// handler's business.
+/// Model: one accept thread plus connection threads that outlive their
+/// connections. The accept thread queues each accepted socket for a parked
+/// connection thread and starts a new thread only when none is idle; at
+/// most `Options::max_connections` connections are live (queued or being
+/// served) at once, so at most that many connection threads ever exist.
+/// Beyond the cap a connection is answered `503` and closed without being
+/// queued. Connections are keep-alive by default; each parsed request is
+/// handed to `Options::handler`, whose exceptions map to a plain `500`. The
+/// server itself answers the *transport*-level errors - `400` malformed
+/// request line/headers, `408` read timeout on a partial request, `413`
+/// body over `max_body_bytes`, `431` headers over `max_header_bytes`, `501`
+/// chunked transfer encoding - always with `Connection: close`.
+/// Routing-level `404`/`405` are the handler's business. Socket calls
+/// interrupted by a signal are retried, so neither side drops a request
+/// when the process handles signals (with or without `SA_RESTART`).
 ///
 /// Shutdown is two-phase: `drain()` stops accepting (listen socket closes),
 /// lets in-flight requests finish (their responses are sent
-/// `Connection: close`), closes idle keep-alive connections, and returns
-/// when the last connection thread is gone. `stop()` is `drain()` plus
-/// joining the accept thread; the destructor calls `stop()`.
+/// `Connection: close`), closes idle keep-alive connections, and joins the
+/// connection threads, each of which exits once no connection is left for
+/// it. `stop()` is `drain()` plus joining the accept thread; the destructor
+/// calls `stop()`.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -90,7 +97,8 @@ class HttpServer {
     /// Seconds a partial request (or an idle keep-alive connection) may
     /// sit before the connection is timed out (408 on partial reads).
     int read_timeout_seconds = 5;
-    /// Live connection-thread cap; the overflow connection is answered 503.
+    /// Cap on live connections, and so on connection threads; the overflow
+    /// connection is answered 503.
     std::size_t max_connections = 32;
     /// false = every response carries `Connection: close` (the exporter's
     /// one-request-per-connection contract).
@@ -111,7 +119,8 @@ class HttpServer {
   bool start();
 
   /// Graceful shutdown: stop accepting, finish in-flight requests, close
-  /// idle connections, wait for every connection thread. Idempotent.
+  /// idle connections, join every connection thread. Idempotent; `start()`
+  /// may be called again afterwards.
   void drain();
 
   /// `drain()` + join the accept thread + close the listen socket. Called
@@ -136,6 +145,7 @@ class HttpServer {
 
  private:
   void accept_loop();
+  void connection_thread();
   void serve_connection(int fd);
 
   Options options_;
@@ -148,12 +158,21 @@ class HttpServer {
   std::uint16_t bound_port_ = 0;
   std::string error_;
 
-  // Connection threads detach; drain() waits on this count instead of
-  // joining. A connection thread touches no server state after its final
-  // decrement-and-notify, so waiting on zero is a safe teardown barrier.
+  // Guarded by conn_mutex_. `live_connections_` counts queued plus served
+  // sockets; `idle_threads_` counts connection threads not serving one
+  // (parked, just started, or woken and not yet holding the lock), and
+  // never falls below `pending_.size()`, so every queued socket has a
+  // thread on its way. Parked threads wait on `work_cv_`.
   std::mutex conn_mutex_;
-  std::condition_variable conn_cv_;
+  std::condition_variable work_cv_;
+  std::deque<int> pending_;
   std::size_t live_connections_ = 0;
+  std::size_t idle_threads_ = 0;
+  bool stopping_threads_ = false;
+
+  // Started by the accept thread and joined by drain() after it has joined
+  // the accept thread, so only one thread at a time touches the vector.
+  std::vector<std::thread> threads_;
 };
 
 /// Options for the blocking test/CLI client below.

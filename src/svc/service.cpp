@@ -1,7 +1,9 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +14,7 @@
 #include "lint/spec_io.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "obs/prom.hpp"
 #include "obs/run_context.hpp"
 #include "util/version.hpp"
@@ -216,6 +219,24 @@ NodeEdgeCheckableLcl build_checked(const lint::ProblemSpec& spec,
   return lint::build_spec(spec);
 }
 
+/// Route names (the `svc.request_us.<route>` suffix) and the method each
+/// route accepts, in `Service::Route` order.
+struct RouteInfo {
+  const char* name;
+  const char* method;
+};
+constexpr RouteInfo kRoutes[] = {
+    {"classify", "POST"}, {"lint", "POST"},       {"synthesize", "POST"},
+    {"survey", "POST"},   {"survey_get", "GET"},  {"healthz", "GET"},
+    {"metrics", "GET"},   {"version", "GET"},     {"other", nullptr},
+};
+
+/// The statuses `Service::handle` answers with; each has its own
+/// `svc.responses.<status>` counter, anything else counts as `other`.
+constexpr int kStatuses[] = {200, 202, 400, 404, 405, 422, 429, 500};
+
+constexpr std::string_view kSurveyPrefix = "/v1/survey/";
+
 json::Value cache_stats_json(const batch::Cache& cache) {
   const batch::CacheStats stats = cache.stats();
   json::Value value = json::Value::make_object();
@@ -229,6 +250,18 @@ json::Value cache_stats_json(const batch::Cache& cache) {
 }
 
 }  // namespace
+
+enum class Service::Route : std::uint8_t {
+  kClassify,
+  kLint,
+  kSynthesize,
+  kSurvey,
+  kSurveyGet,
+  kHealthz,
+  kMetrics,
+  kVersion,
+  kOther,
+};
 
 /// One async /v1/survey job. The RunContext outlives the pool task (the
 /// job is shared_ptr-held by the map and the task), so GET can render
@@ -263,7 +296,18 @@ Service::Service(Options options)
         cache_options.canonical_tier = true;
         return cache_options;
       }()),
-      pool_(batch::Pool::Options{options_.jobs}) {}
+      pool_(batch::Pool::Options{options_.jobs}) {
+  auto& registry = obs::registry();
+  for (const RouteInfo& route : kRoutes) {
+    request_us_.push_back(
+        &registry.histogram(std::string("svc.request_us.") + route.name));
+  }
+  for (const int status : kStatuses) {
+    responses_.push_back(
+        &registry.counter("svc.responses." + std::to_string(status)));
+  }
+  responses_.push_back(&registry.counter("svc.responses.other"));
+}
 
 Service::~Service() { drain(); }
 
@@ -276,57 +320,77 @@ std::string Service::next_run_id() {
 
 HttpResponse Service::handle(const HttpRequest& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
+  LCL_OBS_SPAN(span, "svc/request", "svc");
+  const bool timed = LCL_OBS_ENABLED();
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point();
+
+  Route route = Route::kOther;
+  const std::string& path = request.path;
+  if (path == "/v1/classify") {
+    route = Route::kClassify;
+  } else if (path == "/v1/lint") {
+    route = Route::kLint;
+  } else if (path == "/v1/synthesize") {
+    route = Route::kSynthesize;
+  } else if (path == "/v1/survey") {
+    route = Route::kSurvey;
+  } else if (path.rfind(kSurveyPrefix, 0) == 0) {
+    route = Route::kSurveyGet;
+  } else if (path == "/healthz") {
+    route = Route::kHealthz;
+  } else if (path == "/metrics") {
+    route = Route::kMetrics;
+  } else if (path == "/version") {
+    route = Route::kVersion;
+  }
+  HttpResponse response = dispatch(route, request);
+
+  if (timed) {
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    request_us_[static_cast<std::size_t>(route)]->record(
+        static_cast<std::uint64_t>(us));
+    const auto* known = std::find(std::begin(kStatuses), std::end(kStatuses),
+                                  response.status);
+    responses_[static_cast<std::size_t>(known - std::begin(kStatuses))]
+        ->add(1);
+  }
+  LCL_OBS_SPAN_ARG(span, "route", route);
+  LCL_OBS_SPAN_ARG(span, "status", response.status);
+  return response;
+}
+
+HttpResponse Service::dispatch(Route route, const HttpRequest& request) {
   try {
-    if (request.path == "/healthz") {
-      if (request.method != "GET") {
-        return error_response(405, "method_not_allowed", "use GET");
-      }
-      HttpResponse response;
-      response.body = "ok\n";
-      return response;
+    const char* method = kRoutes[static_cast<std::size_t>(route)].method;
+    if (method != nullptr && request.method != method) {
+      return error_response(405, "method_not_allowed",
+                            std::string("use ") + method);
     }
-    if (request.path == "/metrics") {
-      if (request.method != "GET") {
-        return error_response(405, "method_not_allowed", "use GET");
+    switch (route) {
+      case Route::kClassify:
+        return classify(request);
+      case Route::kLint:
+        return lint(request);
+      case Route::kSynthesize:
+        return synthesize(request);
+      case Route::kSurvey:
+        return survey_post(request);
+      case Route::kSurveyGet:
+        return survey_get(request.path.substr(kSurveyPrefix.size()));
+      case Route::kHealthz: {
+        HttpResponse response;
+        response.body = "ok\n";
+        return response;
       }
-      return metrics();
-    }
-    if (request.path == "/version") {
-      if (request.method != "GET") {
-        return error_response(405, "method_not_allowed", "use GET");
-      }
-      return version();
-    }
-    if (request.path == "/v1/classify") {
-      if (request.method != "POST") {
-        return error_response(405, "method_not_allowed", "use POST");
-      }
-      return classify(request);
-    }
-    if (request.path == "/v1/lint") {
-      if (request.method != "POST") {
-        return error_response(405, "method_not_allowed", "use POST");
-      }
-      return lint(request);
-    }
-    if (request.path == "/v1/synthesize") {
-      if (request.method != "POST") {
-        return error_response(405, "method_not_allowed", "use POST");
-      }
-      return synthesize(request);
-    }
-    if (request.path == "/v1/survey") {
-      if (request.method != "POST") {
-        return error_response(405, "method_not_allowed", "use POST");
-      }
-      return survey_post(request);
-    }
-    constexpr std::string_view kSurveyPrefix = "/v1/survey/";
-    if (request.path.rfind(kSurveyPrefix, 0) == 0) {
-      if (request.method != "GET") {
-        return error_response(405, "method_not_allowed", "use GET");
-      }
-      return survey_get(request.path.substr(kSurveyPrefix.size()));
+      case Route::kMetrics:
+        return metrics();
+      case Route::kVersion:
+        return version();
+      case Route::kOther:
+        break;
     }
     return error_response(
         404, "not_found",
@@ -394,13 +458,10 @@ HttpResponse Service::classify(const HttpRequest& request) {
     return error_response(422, "task_failed", outcome.error, run_id);
   }
 
-  json::Value report_json = report.to_json_value();
-  json::Value row = report_json.find("problems")->as_array().at(0);
-
   json::Value root = json::Value::make_object();
   root.object()["schema"] = json::Value(std::string(kSchema));
   root.object()["run_id"] = json::Value(run_id);
-  root.object()["outcome"] = std::move(row);
+  root.object()["outcome"] = batch::outcome_to_json_value(outcome);
   root.object()["cache"] = cache_stats_json(cache_);
   return json_response(std::move(root));
 }

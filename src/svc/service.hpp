@@ -15,6 +15,11 @@
 #include "re/engine.hpp"
 #include "svc/http.hpp"
 
+namespace lcl::obs {
+class Counter;
+class Histogram;
+}  // namespace lcl::obs
+
 namespace lcl::svc {
 
 /// The lcld application layer: routes the versioned HTTP+JSON API onto the
@@ -54,6 +59,14 @@ namespace lcl::svc {
 /// while concurrent requests are unaffected (task isolation is the pool's
 /// contract). Every request runs under its own `obs::RunContext` run id,
 /// echoed in the response body.
+///
+/// Request metrics (recorded while `obs::metrics_enabled()`, so on in
+/// `lcld`): the log2 histogram `svc.request_us.<route>` of handling time in
+/// microseconds, route one of classify, lint, synthesize, survey,
+/// survey_get, healthz, metrics, version, other; and the counter
+/// `svc.responses.<status>` (`other` for statuses outside the service's
+/// own set). Each request also runs under an `svc/request` trace span with
+/// `route` (the index in that list) and `status` args.
 class Service {
  public:
   struct Options {
@@ -117,7 +130,9 @@ class Service {
 
  private:
   struct SurveyJob;
+  enum class Route : std::uint8_t;
 
+  HttpResponse dispatch(Route route, const HttpRequest& request);
   HttpResponse classify(const HttpRequest& request);
   HttpResponse lint(const HttpRequest& request);
   HttpResponse synthesize(const HttpRequest& request);
@@ -136,6 +151,12 @@ class Service {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::uint64_t> run_seq_{0};
+
+  // Looked up once at construction so a request does no registry lookup:
+  // one histogram per route, one counter per known status plus `other`
+  // (last).
+  std::vector<obs::Histogram*> request_us_;
+  std::vector<obs::Counter*> responses_;
 
   std::mutex surveys_mutex_;
   std::map<std::string, std::shared_ptr<SurveyJob>> surveys_;

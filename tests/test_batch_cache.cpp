@@ -2,18 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lcl.hpp"
 #include "core/problems.hpp"
+#include "fuzz/generator.hpp"
 #include "lint/canonical.hpp"
 #include "lint/spec.hpp"
 #include "obs/json.hpp"
+#include "util/rng.hpp"
 
 namespace lcl {
 namespace {
@@ -385,6 +391,167 @@ TEST(BatchCacheCanonical, EligibilityRoundTripsThroughTheDiskTier) {
   ASSERT_TRUE(cache.find_canonical("engine", mm_permuted).has_value());
   EXPECT_FALSE(cache.find_canonical("step", mm_permuted).has_value());
   ASSERT_TRUE(cache.find("step", mm).has_value());
+}
+
+
+/// The reference `same_constraints_permuted` must match: build the
+/// relabeled copy of `a`, then compare.
+bool rebuilt_same_constraints(const NodeEdgeCheckableLcl& a,
+                              const std::vector<Label>& a_to_b,
+                              const NodeEdgeCheckableLcl& b) {
+  return same_constraints(permuted_copy(a, a_to_b), b);
+}
+
+std::vector<Label> random_permutation(std::size_t k, SplitRng& rng) {
+  std::vector<Label> permutation(k);
+  std::iota(permutation.begin(), permutation.end(), Label{0});
+  for (std::size_t i = k; i > 1; --i) {
+    std::swap(permutation[i - 1], permutation[rng.next_below(i)]);
+  }
+  return permutation;
+}
+
+/// Single edits of a canonical spec, each of which changes its constraint
+/// system: a node or edge configuration dropped, added or replaced by one
+/// of the same size, one `g` entry flipped or moved to another label, one
+/// more output or input label. Replacements and moves keep every set's
+/// size, so only the membership checks can catch them. Edits that would
+/// leave no configuration, or find nothing absent to add, are skipped.
+std::vector<std::pair<std::string, lint::ProblemSpec>> single_edits(
+    const lint::ProblemSpec& spec, SplitRng& rng) {
+  using CfgList = std::vector<std::vector<std::int64_t>>;
+  std::vector<std::pair<std::string, lint::ProblemSpec>> edits;
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  // A sorted configuration of `size` labels that `list` lacks, if one is
+  // found in a few draws.
+  const auto absent = [&](const CfgList& list, std::size_t size) {
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      std::vector<std::int64_t> config(size);
+      for (auto& label : config) {
+        label = static_cast<std::int64_t>(pick(spec.outputs.size()));
+      }
+      std::sort(config.begin(), config.end());
+      if (std::find(list.begin(), list.end(), config) == list.end()) {
+        return std::optional<std::vector<std::int64_t>>(std::move(config));
+      }
+    }
+    return std::optional<std::vector<std::int64_t>>();
+  };
+  const auto edit_list = [&](const std::string& what,
+                             CfgList lint::ProblemSpec::*member,
+                             std::size_t add_size) {
+    const CfgList& list = spec.*member;
+    if (list.size() > 1) {
+      lint::ProblemSpec edit = spec;
+      (edit.*member).erase((edit.*member).begin() +
+                           static_cast<long>(pick(list.size())));
+      edits.emplace_back(what + " configuration dropped", std::move(edit));
+    }
+    if (auto config = absent(list, add_size)) {
+      lint::ProblemSpec edit = spec;
+      (edit.*member).push_back(std::move(*config));
+      edits.emplace_back(what + " configuration added", std::move(edit));
+    }
+    const std::size_t victim = pick(list.size());
+    if (auto config = absent(list, list[victim].size())) {
+      lint::ProblemSpec edit = spec;
+      (edit.*member)[victim] = std::move(*config);
+      edits.emplace_back(what + " configuration replaced", std::move(edit));
+    }
+  };
+  edit_list("node", &lint::ProblemSpec::node_configs,
+            1 + pick(static_cast<std::size_t>(spec.max_degree)));
+  edit_list("edge", &lint::ProblemSpec::edge_configs, 2);
+
+  const std::size_t in = pick(spec.g.size());
+  const auto& row = spec.g[in];
+  const auto out = static_cast<std::int64_t>(pick(spec.outputs.size()));
+  {
+    lint::ProblemSpec edit = spec;
+    auto& edited = edit.g[in];
+    const auto it = std::find(edited.begin(), edited.end(), out);
+    if (it == edited.end()) {
+      edited.push_back(out);
+    } else {
+      edited.erase(it);
+    }
+    edits.emplace_back("g entry flipped", std::move(edit));
+  }
+  if (!row.empty() && row.size() < spec.outputs.size()) {
+    lint::ProblemSpec edit = spec;
+    auto& edited = edit.g[in];
+    edited.erase(edited.begin() + static_cast<long>(pick(edited.size())));
+    std::int64_t moved = 0;
+    while (std::find(row.begin(), row.end(), moved) != row.end()) ++moved;
+    edited.push_back(moved);
+    edits.emplace_back("g entry moved", std::move(edit));
+  }
+  {
+    lint::ProblemSpec edit = spec;
+    edit.outputs.push_back("extra");
+    edits.emplace_back("output alphabet grown", std::move(edit));
+  }
+  {
+    lint::ProblemSpec edit = spec;
+    edit.inputs.push_back("extra");
+    edit.g.push_back(row);
+    edits.emplace_back("input alphabet grown", std::move(edit));
+  }
+  return edits;
+}
+
+TEST(BatchCacheCanonical, InPlaceConfirmationAgreesWithTheRebuiltCopy) {
+  // The canonical tier confirms a hit with `same_constraints_permuted`.
+  // No lookup reaches a canonical collision in practice, so it is held to
+  // the rebuilt reference's answer here: on fuzzed problems (wide
+  // alphabets up to 96 labels included), a random relabeling, and every
+  // single edit of it.
+  std::size_t edits_checked = 0;
+  for (const bool wide : {false, true}) {
+    fuzz::GeneratorOptions options;
+    options.wide_alphabets = wide;
+    options.wide_max_labels = 96;
+    for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+      SCOPED_TRACE((wide ? "wide seed " : "seed ") + std::to_string(seed));
+      SplitRng rng(seed);
+      const NodeEdgeCheckableLcl a = fuzz::random_problem(options, rng);
+      if (wide) {
+        EXPECT_GE(a.output_alphabet().size(), 64u);
+      }
+      const std::vector<Label> a_to_b =
+          random_permutation(a.output_alphabet().size(), rng);
+      const lint::ProblemSpec b_spec =
+          lint::permute_spec(lint::spec_from_problem(a), a_to_b);
+      const NodeEdgeCheckableLcl b = lint::build_spec(b_spec);
+      EXPECT_TRUE(same_constraints_permuted(a, a_to_b, b));
+      EXPECT_TRUE(rebuilt_same_constraints(a, a_to_b, b));
+      for (const auto& [what, edit] : single_edits(b_spec, rng)) {
+        SCOPED_TRACE(what);
+        const NodeEdgeCheckableLcl edited = lint::build_spec(edit);
+        EXPECT_FALSE(same_constraints_permuted(a, a_to_b, edited));
+        EXPECT_FALSE(rebuilt_same_constraints(a, a_to_b, edited));
+        ++edits_checked;
+      }
+    }
+  }
+  // Every draw yields at least the g flip and the two alphabet edits.
+  EXPECT_GE(edits_checked, 2u * 3u * 150u);
+}
+
+TEST(BatchCacheCanonical, InPlaceConfirmationRejectsNonPermutations) {
+  const auto mm = problems::maximal_matching(2);
+  ASSERT_EQ(mm.output_alphabet().size(), 3u);
+  EXPECT_TRUE(same_constraints_permuted(mm, {0, 1, 2}, mm));
+  // Like `permute_spec`, which the rebuilt copy goes through.
+  for (const std::vector<Label>& bad :
+       {std::vector<Label>{0, 0, 1}, std::vector<Label>{0, 1, 3},
+        std::vector<Label>{0, 1}}) {
+    EXPECT_THROW(same_constraints_permuted(mm, bad, mm),
+                 std::invalid_argument);
+    EXPECT_THROW(permuted_copy(mm, bad), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
-// The shared HTTP transport: server lifecycle, keep-alive, transport-level
-// error mapping (400/408/413/431/501/503), graceful drain, and the
-// validating client (POST, status/header capture, truncation/oversize
-// detection).
+// The shared HTTP transport: server lifecycle (drain, restart), the
+// connection-thread lifecycle (parked threads reused across connections,
+// the max_connections 503 cap), keep-alive, transport-level error mapping
+// (400/408/413/431/501), socket calls that survive signals, graceful
+// drain, and the validating client (POST, status/header capture,
+// truncation/oversize detection).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -302,6 +310,221 @@ TEST(SvcHttpServer, DestroyRightAfterLastResponseWaitsForConnectionThreads) {
     server.reset();
     EXPECT_EQ(ok.load(), kClients) << "round " << round;
   }
+}
+
+std::size_t process_thread_count() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+pid_t current_tid() { return static_cast<pid_t>(::syscall(SYS_gettid)); }
+
+TEST(SvcHttpServer, SequentialConnectionsReuseParkedThreads) {
+  std::mutex mutex;
+  std::set<pid_t> handler_threads;
+  HttpServer::Options options;
+  options.handler = [&mutex, &handler_threads](const HttpRequest&) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    handler_threads.insert(current_tid());
+    return HttpResponse{};
+  };
+  HttpServer server(std::move(options));
+  ASSERT_TRUE(server.start()) << server.error();
+
+  const std::size_t before = process_thread_count();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(http_request("127.0.0.1", server.port(), "GET", "/").status,
+              200)
+        << "request " << i;
+  }
+  // Each connection closes before the next opens, so a parked thread is
+  // always there to take it; no thread is started per connection.
+  EXPECT_LE(process_thread_count(), before + 2);
+  const std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_LE(handler_threads.size(), 2u);
+}
+
+TEST(SvcHttpServer, ConnectionCapAnswers503UntilALiveConnectionCloses) {
+  HttpServer::Options options = echo_options();
+  options.max_connections = 2;
+  HttpServer server(std::move(options));
+  ASSERT_TRUE(server.start()) << server.error();
+
+  // Two idle keep-alive connections, each served once, hold both slots.
+  auto first = std::make_unique<RawConnection>(server.port());
+  RawConnection second(server.port());
+  for (const RawConnection* connection : {first.get(), &second}) {
+    connection->send("GET /echo HTTP/1.1\r\nHost: x\r\n\r\n");
+    EXPECT_NE(connection->read_one_response().find("200 OK"),
+              std::string::npos);
+  }
+
+  // The third is answered before it sends anything, then closed.
+  RawConnection third(server.port());
+  EXPECT_NE(third.read_until_close().find("503 Service Unavailable"),
+            std::string::npos);
+  EXPECT_EQ(server.connections_rejected(), 1u);
+
+  // Once the server has seen the first one close, its slot is free again.
+  first.reset();
+  int status = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (status != 200 && std::chrono::steady_clock::now() < deadline) {
+    try {
+      status = http_request("127.0.0.1", server.port(), "GET", "/echo").status;
+    } catch (const std::runtime_error&) {
+      // A 503 written before the request was read can arrive as a reset.
+      status = 0;
+    }
+    if (status != 200) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(status, 200);
+}
+
+TEST(SvcHttpServer, StartAfterDrainServesAgain) {
+  HttpServer server(echo_options());
+  ASSERT_TRUE(server.start()) << server.error();
+  EXPECT_EQ(http_request("127.0.0.1", server.port(), "GET", "/echo").status,
+            200);
+  server.drain();
+  EXPECT_FALSE(server.running());
+
+  ASSERT_TRUE(server.start()) << server.error();
+  EXPECT_TRUE(server.running());
+  const auto response =
+      http_request("127.0.0.1", server.port(), "POST", "/echo", "again");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "POST /echo again");
+  EXPECT_EQ(server.requests_served(), 2u);
+}
+
+std::atomic<std::uint64_t> g_signals_handled{0};
+
+void count_signal(int) {
+  g_signals_handled.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Sends SIGUSR1 to every thread of the process every 50 microseconds
+/// until destroyed - except itself and, with `spare_caller`, the thread
+/// that built it (a raw-socket peer that does not retry EINTR itself).
+/// Per-thread delivery makes sure the server's threads are interrupted
+/// too, not just whichever thread the kernel picks for a process-wide
+/// signal.
+class SignalStorm {
+ public:
+  explicit SignalStorm(bool spare_caller) {
+    const pid_t spared = spare_caller ? current_tid() : 0;
+    thread_ = std::thread([this, spared] {
+      const pid_t self = current_tid();
+      while (!stop_.load()) {
+        // Threads come and go while this lists them: no throwing here.
+        std::error_code error;
+        for (std::filesystem::directory_iterator it("/proc/self/task", error),
+             end;
+             !error && it != end; it.increment(error)) {
+          const pid_t tid = static_cast<pid_t>(
+              std::strtol(it->path().filename().c_str(), nullptr, 10));
+          if (tid != self && tid != spared) {
+            ::syscall(SYS_tgkill, ::getpid(), tid, SIGUSR1);
+          }
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  }
+  ~SignalStorm() {
+    stop_.store(true);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(SvcHttpServer, RequestsSurviveSignalsWithoutSaRestart) {
+  // Without SA_RESTART every blocking call a signal lands in fails with
+  // EINTR; poll(), and recv()/send() on a socket with a timeout, fail so
+  // even with it. The handler stays installed after the test, so a signal
+  // still in flight never meets the default (terminating) action.
+  struct sigaction action {};
+  action.sa_handler = count_signal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, nullptr), 0);
+
+  constexpr std::size_t kBigResponse = 16u << 20;
+  HttpServer::Options options;
+  options.handler = [](const HttpRequest& request) {
+    HttpResponse response;
+    response.body = request.path == "/big" ? std::string(kBigResponse, 'z')
+                                           : request.body + request.body;
+    return response;
+  };
+  HttpServer server(std::move(options));
+  ASSERT_TRUE(server.start()) << server.error();
+
+  const std::uint64_t handled_before = g_signals_handled.load();
+  {
+    // Client and server threads alike are interrupted.
+    const SignalStorm storm(/*spare_caller=*/false);
+    for (int i = 0; i < 300; ++i) {
+      const std::string body =
+          std::to_string(i) + std::string(256 * 1024, static_cast<char>(
+                                                          'a' + i % 26));
+      HttpClientResponse response;
+      try {
+        response =
+            http_request("127.0.0.1", server.port(), "POST", "/", body);
+      } catch (const std::exception& e) {
+        FAIL() << "request " << i << ": " << e.what();
+      }
+      ASSERT_EQ(response.status, 200) << "request " << i;
+      ASSERT_EQ(response.body.size(), 2 * body.size()) << "request " << i;
+      ASSERT_TRUE(response.body == body + body) << "request " << i;
+    }
+  }
+  {
+    // Stalled raw peers park the server's connection thread in poll() and
+    // in send() while the signals land; this thread is spared.
+    const SignalStorm storm(/*spare_caller=*/true);
+    const auto stall = [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    };
+
+    RawConnection stalled_head(server.port());
+    stalled_head.send("POST / HTTP/1.1\r\nHost: x\r\n");
+    stall();
+    stalled_head.send("Content-Length: 4\r\nConnection: close\r\n\r\nhead");
+    EXPECT_NE(stalled_head.read_until_close().find("\r\n\r\nheadhead"),
+              std::string::npos);
+
+    RawConnection stalled_body(server.port());
+    stalled_body.send(
+        "POST / HTTP/1.1\r\nContent-Length: 8\r\nConnection: close\r\n"
+        "\r\nbody");
+    stall();
+    stalled_body.send("body");
+    EXPECT_NE(stalled_body.read_until_close().find("\r\n\r\nbodybodybodybody"),
+              std::string::npos);
+
+    RawConnection slow_reader(server.port());
+    slow_reader.send("GET /big HTTP/1.1\r\nConnection: close\r\n\r\n");
+    stall();  // the response fills the socket buffers; send() blocks
+    const std::string big = slow_reader.read_until_close();
+    const auto head_end = big.find("\r\n\r\n");
+    ASSERT_NE(head_end, std::string::npos);
+    EXPECT_EQ(big.size() - head_end - 4, kBigResponse);
+  }
+  EXPECT_GT(g_signals_handled.load(), handled_before);
+  EXPECT_EQ(server.requests_served(), 303u);
 }
 
 /// One-shot fake server: accepts a single connection, sends `script`

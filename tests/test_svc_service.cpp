@@ -1,8 +1,9 @@
 // The lcld application layer: routing, spec validation, verdict parity
-// with SpeedupEngine::run, the canonical cache tier across permuted
-// re-requests, per-request budget isolation, admission control, async
-// surveys, and the spawned-daemon end-to-end contract (ephemeral port,
-// the full API over real HTTP, SIGTERM drain exiting 0).
+// with SpeedupEngine::run, per-request metrics and trace span, the
+// canonical cache tier across permuted re-requests, per-request budget
+// isolation, admission control, async surveys, and the spawned-daemon
+// end-to-end contract (ephemeral port, the full API over real HTTP,
+// SIGTERM drain exiting 0).
 
 #include <csignal>
 #include <sys/types.h>
@@ -13,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +22,11 @@
 #include "gtest/gtest.h"
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
+#include "obs/exporter.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_reader.hpp"
 #include "re/engine.hpp"
 #include "svc/http.hpp"
 #include "svc/service.hpp"
@@ -89,6 +95,18 @@ std::string string_at(const json::Value& value, const char* key) {
   return field == nullptr ? "" : field->as_string();
 }
 
+/// Turns runtime metrics on for one test and restores the previous state.
+class MetricsOn {
+ public:
+  MetricsOn() : previous_(obs::metrics_enabled()) {
+    obs::set_metrics_enabled(true);
+  }
+  ~MetricsOn() { obs::set_metrics_enabled(previous_); }
+
+ private:
+  bool previous_;
+};
+
 Service::Options small_options() {
   Service::Options options;
   options.jobs = 2;
@@ -115,9 +133,30 @@ TEST(SvcService, RoutesHealthzVersionAndUnknown) {
 }
 
 TEST(SvcService, ClassifyMatchesSpeedupEngineRun) {
+  const MetricsOn metrics_on;
   Service service(small_options());
-  const HttpResponse response =
-      service.handle(make_request("POST", "/v1/classify", kMatchingSpec));
+  // The service registers its request instruments when it is built.
+  const obs::Histogram* classify_us =
+      obs::registry().find_histogram("svc.request_us.classify");
+  const obs::Counter* ok_responses =
+      obs::registry().find_counter("svc.responses.200");
+  ASSERT_NE(classify_us, nullptr);
+  ASSERT_NE(ok_responses, nullptr);
+  const std::uint64_t classifies_before = classify_us->count();
+  const std::uint64_t oks_before = ok_responses->value();
+
+  const std::string trace_path = testing::TempDir() + "lcl_svc_request.jsonl";
+  HttpResponse response;
+  {
+    obs::TraceSession session(trace_path, obs::TraceFormat::kJsonl);
+    obs::TraceSession* previous = obs::TraceSession::set_current(&session);
+    response =
+        service.handle(make_request("POST", "/v1/classify", kMatchingSpec));
+    // The pool worker closes its batch/task span after the response is
+    // ready; the session must outlive it.
+    service.drain();
+    obs::TraceSession::set_current(previous);
+  }
   ASSERT_EQ(response.status, 200) << response.body;
   const auto body = parse_json(response.body);
   const json::Value* outcome = body->find("outcome");
@@ -136,6 +175,42 @@ TEST(SvcService, ClassifyMatchesSpeedupEngineRun) {
             reference.detected_unsolvable);
   EXPECT_EQ(string_at(*body, "schema"), "lclscape.svc.v1");
   EXPECT_FALSE(string_at(*body, "run_id").empty());
+
+  // The series are registered either way; they count, and the span is
+  // written, only when telemetry is compiled in.
+  const HttpResponse metrics = service.handle(make_request("GET", "/metrics"));
+  EXPECT_NE(metrics.body.find("svc_request_us_classify_count"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("svc_responses_200_total"), std::string::npos);
+  if (!obs::telemetry_compiled_in()) return;
+
+  // The request ran under one svc/request span: route 0 is classify.
+  std::ifstream trace_file(trace_path);
+  const std::string trace_text((std::istreambuf_iterator<char>(trace_file)),
+                               std::istreambuf_iterator<char>());
+  obs::ParsedTrace trace;
+  std::string error;
+  ASSERT_TRUE(obs::parse_trace(trace_text, &trace, &error)) << error;
+  int request_spans = 0;
+  for (const auto& record : trace.records) {
+    if (record.kind != obs::TraceRecord::Kind::kSpan ||
+        record.name != "svc/request") {
+      continue;
+    }
+    ++request_spans;
+    EXPECT_EQ(record.args.at("route"), 0);
+    EXPECT_EQ(record.args.at("status"), 200);
+  }
+  EXPECT_EQ(request_spans, 1);
+
+  // Its latency and status were recorded (the /metrics request above
+  // counts as a second 200), and /metrics shows the sample.
+  EXPECT_EQ(classify_us->count(), classifies_before + 1);
+  EXPECT_EQ(ok_responses->value(), oks_before + 2);
+  EXPECT_NE(service.handle(make_request("GET", "/metrics"))
+                .body.find("svc_request_us_classify_count " +
+                           std::to_string(classify_us->count())),
+            std::string::npos);
 }
 
 TEST(SvcService, PermutedReRequestServedFromCanonicalTier) {
@@ -349,15 +424,20 @@ TEST(SvcService, ConcurrentClassifiesWithMetricsScrapesDoNotStall) {
   Service service(options);
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> scraping{false};
   std::atomic<int> scrapes{0};
-  std::thread scraper([&service, &stop, &scrapes]() {
+  std::thread scraper([&service, &stop, &scraping, &scrapes]() {
     while (!stop.load()) {
+      scraping.store(true);
       const HttpResponse metrics =
           service.handle(make_request("GET", "/metrics"));
       if (metrics.status == 200) scrapes.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  // The classifies start once the first scrape has, so the two overlap
+  // however late the scheduler runs the scraper.
+  while (!scraping.load()) std::this_thread::yield();
 
   constexpr int kThreads = 4;
   constexpr int kRequests = 8;
