@@ -280,8 +280,7 @@ std::optional<obs::json::Value> Cache::find(
 
 std::optional<Cache::CanonicalHit> Cache::find_canonical(
     std::string_view kind, const NodeEdgeCheckableLcl& problem,
-    const lint::CanonicalForm* form,
-    std::optional<lint::CanonicalForm>* computed) {
+    const lint::CanonicalForm* form) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string kind_str(kind);
   const std::size_t k = problem.output_alphabet().size();
@@ -295,11 +294,10 @@ std::optional<Cache::CanonicalHit> Cache::find_canonical(
     return hit;
   }
   if (options_.canonical_tier) {
-    std::optional<lint::CanonicalForm> local;
+    lint::CanonicalForm computed;
     if (form == nullptr) {
-      auto& slot = computed != nullptr ? *computed : local;
-      slot = lint::canonical_form(lint::spec_from_problem(problem));
-      form = &*slot;
+      computed = lint::canonical_form(lint::spec_from_problem(problem));
+      form = &computed;
     }
     if (form->complete) {
       const std::uint64_t canonical_sig = lint::spec_signature(form->spec);

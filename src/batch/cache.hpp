@@ -143,24 +143,20 @@ class Cache {
   /// incomplete form is ignored and only the exact tier is probed (an
   /// exhausted branch-and-bound is no longer permutation-invariant).
   /// With the tier off this is `find` with identity evidence.
-  /// `computed`, when given, receives the canonical form the lookup
-  /// computed itself (an exact-tier miss with the tier on and no `form`),
-  /// so a following `insert` of the same problem can reuse it instead of
-  /// running the orbit search again; it stays empty otherwise.
   std::optional<CanonicalHit> find_canonical(
       std::string_view kind, const NodeEdgeCheckableLcl& problem,
-      const lint::CanonicalForm* form = nullptr,
-      std::optional<lint::CanonicalForm>* computed = nullptr);
+      const lint::CanonicalForm* form = nullptr);
 
   /// Inserts (and appends to disk). A duplicate of an existing confirmed
   /// entry is a no-op, so re-running a survey over a warm cache does not
   /// grow the file. `form`, when provided, is the problem's canonical form
   /// (saves the orbit search when the canonical tier is on; ignored
   /// otherwise). `index_canonical = false` keeps the entry out of the
-  /// canonical index even when the tier is on - for kinds whose payloads
-  /// are NOT label-invariant (the survey's "step:" records embed a derived
-  /// spec); such entries are never probed canonically, so skipping the
-  /// orbit search at insert saves its cost.
+  /// canonical index even when the tier is on - for kinds only ever probed
+  /// on the exact tier (the survey's "step:" records embed a derived spec
+  /// that is NOT label-invariant, and its "zr:" verdicts are looked up
+  /// without an orbit search), so skipping that search at insert saves its
+  /// cost.
   void insert(std::string_view kind, const NodeEdgeCheckableLcl& problem,
               const obs::json::Value& value,
               const lint::CanonicalForm* form = nullptr,

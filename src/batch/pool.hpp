@@ -74,6 +74,8 @@ class Pool {
   }
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
+  /// Tasks that ran to the end. A worker counts a task after its future is
+  /// ready, so the count is final only once `wait_idle()` has returned.
   std::uint64_t tasks_completed() const noexcept {
     return completed_.load(std::memory_order_relaxed);
   }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -20,9 +22,6 @@
 #include "lint/canonical.hpp"
 #include "lint/spec_io.hpp"
 #include "obs/obs.hpp"
-#include "re/operators.hpp"
-#include "re/reduce.hpp"
-#include "re/zero_round.hpp"
 #include "util/combinatorics.hpp"
 
 namespace lcl::batch {
@@ -48,16 +47,15 @@ std::string degrees_tag(const std::vector<int>& degrees) {
 }
 
 /// Two-tier lookup for label-permutation-invariant verdict kinds
-/// ("engine:", "zr:", "cycle:", "path:", "check:"): nothing in those
-/// payloads names a label, so a canonical-tier hit can be replayed verbatim
-/// - the permutation evidence degenerates to "no field needs mapping". With
-/// the tier off this is exactly the raw confirmed lookup.
-std::optional<json::Value> cache_find(
-    Cache* cache, const std::string& kind, const NodeEdgeCheckableLcl& problem,
-    const lint::CanonicalForm* form = nullptr,
-    std::optional<lint::CanonicalForm>* computed = nullptr) {
+/// ("engine:", "cycle:", "path:", "check:"): nothing in those payloads
+/// names a label, so a canonical-tier hit can be replayed verbatim - the
+/// permutation evidence degenerates to "no field needs mapping". With the
+/// tier off this is exactly the raw confirmed lookup.
+std::optional<json::Value> cache_find(Cache* cache, const std::string& kind,
+                                      const NodeEdgeCheckableLcl& problem,
+                                      const lint::CanonicalForm* form) {
   if (cache == nullptr) return std::nullopt;
-  if (auto hit = cache->find_canonical(kind, problem, form, computed)) {
+  if (auto hit = cache->find_canonical(kind, problem, form)) {
     return std::move(hit->value);
   }
   return std::nullopt;
@@ -65,131 +63,91 @@ std::optional<json::Value> cache_find(
 
 void cache_put(Cache* cache, const std::string& kind,
                const NodeEdgeCheckableLcl& problem, const json::Value& value,
-               const lint::CanonicalForm* form = nullptr,
-               bool index_canonical = true) {
-  if (cache != nullptr) {
-    cache->insert(kind, problem, value, form, index_canonical);
-  }
+               const lint::CanonicalForm* form) {
+  if (cache != nullptr) cache->insert(kind, problem, value, form);
 }
 
-/// 0-round solvability through the cache (the verdict depends on the degree
-/// set, so it is part of the kind). A miss hands the canonical form its
-/// lookup computed to the insert, so the orbit search runs once.
-bool zero_round_cached(const NodeEdgeCheckableLcl& problem,
-                       const std::vector<int>& degrees, Cache* cache) {
-  const std::string kind = "zr:" + degrees_tag(degrees);
-  std::optional<lint::CanonicalForm> form;
-  if (const auto hit = cache_find(cache, kind, problem, nullptr, &form)) {
-    if (const auto* solvable = hit->find("solvable");
-        solvable != nullptr && solvable->is_bool()) {
-      return solvable->as_bool();
-    }
-  }
-  const bool solvable = zero_round_solvable(problem, degrees);
-  json::Value value = json::Value::make_object();
-  value.object()["solvable"] = json::Value(solvable);
-  cache_put(cache, kind, problem, value, form ? &*form : nullptr);
-  return solvable;
-}
+/// `SpeedupEngine`'s memo over the cache: reduced iterates under "step:"
+/// and 0-round verdicts under "zr:", both on the exact tier only. A stored
+/// iterate lives in the stored problem's label space, which a canonical hit
+/// would permute; and an exact lookup costs no orbit search. With
+/// `verdicts` off it leaves 0-round verdicts uncached: the classifiers'
+/// degree-{2} and {1,2} verdicts would grow the cache more than they save.
+class CacheMemo final : public SpeedupEngine::Memo {
+ public:
+  CacheMemo(Cache& cache, bool verdicts) : cache_(cache), verdicts_(verdicts) {}
 
-/// One reduced `Rbar(R(.))` iterate through the cache. The enumeration
-/// limits are part of the kind: an iterate computed under generous limits
-/// must not be served to a run whose limits would have aborted it. Throws
-/// `ReBlowupError` / `std::runtime_error` exactly like the uncached step.
-NodeEdgeCheckableLcl speedup_step_cached(const NodeEdgeCheckableLcl& current,
-                                         const ReLimits& limits,
-                                         bool reduce_labels, Cache* cache) {
-  const std::string kind = std::string("step:") + (reduce_labels ? "r" : "f") +
-                           ":l" + std::to_string(limits.max_labels) + ":c" +
-                           std::to_string(limits.max_configs);
-  if (auto* run = obs::RunContext::current(); run != nullptr) {
-    run->bump("engine_steps");
-  }
-  // Exact tier ONLY: the payload embeds the derived next problem in the
-  // *stored* problem's label space, and a canonical-tier hit would come
-  // with an unknown induced permutation on that derived spec. Every other
-  // survey kind stores label-invariant verdicts and goes two-tier.
-  if (cache != nullptr) {
-    if (const auto hit = cache->find(kind, current)) {
+  Step step(const NodeEdgeCheckableLcl& current,
+            const SpeedupEngine::Options& options,
+            const std::function<Step()>& compute) override {
+    // The limits are part of the kind: an iterate computed under generous
+    // limits must not be served to a run whose limits would have aborted
+    // it.
+    const std::string kind =
+        std::string("step:") + (options.reduce ? "r" : "f") + ":l" +
+        std::to_string(options.limits.max_labels) + ":c" +
+        std::to_string(options.limits.max_configs);
+    if (const auto hit = cache_.find(kind, current)) {
       if (const auto* next = hit->find("next"); next != nullptr) {
-        return lint::build_spec(lint::spec_from_json_value(*next));
+        // Tiers written before "psi_labels" was stored serve 0.
+        Step step{lint::build_spec(lint::spec_from_json_value(*next)), 0};
+        if (const auto* psi = hit->find("psi_labels");
+            psi != nullptr && psi->is_number()) {
+          step.labels_psi = static_cast<std::size_t>(psi->as_int());
+        }
+        return step;
       }
     }
+    Step step = compute();
+    json::Value value = json::Value::make_object();
+    value.object()["next"] =
+        lint::spec_to_json_value(lint::spec_from_problem(step.next));
+    value.object()["psi_labels"] =
+        json::Value(static_cast<std::int64_t>(step.labels_psi));
+    cache_.insert(kind, current, value, nullptr, /*index_canonical=*/false);
+    return step;
   }
-  ReStep psi = apply_r(current, limits);
-  if (reduce_labels) psi = reduce_step(std::move(psi), limits.kernel);
-  ReStep next = apply_rbar(psi.problem, limits);
-  if (reduce_labels) next = reduce_step(std::move(next), limits.kernel);
-  json::Value value = json::Value::make_object();
-  value.object()["next"] =
-      lint::spec_to_json_value(lint::spec_from_problem(next.problem));
-  cache_put(cache, kind, current, value, nullptr,
-            /*index_canonical=*/false);  // payload is not label-invariant
-  return std::move(next.problem);
-}
 
-/// The speedup-synthesis certificate the survey records per problem: the
-/// observable outcome of `SpeedupEngine::run`, without the lifting data the
-/// survey does not consume.
-struct EngineSummary {
-  int zero_round_step = -1;
-  int steps_applied = 0;
-  bool fixed_point = false;
-  bool budget_exhausted = false;
-  bool detected_unsolvable = false;
-  std::size_t preflight_dead_labels = 0;
-  std::string message;
+  bool zero_round(const NodeEdgeCheckableLcl& problem,
+                  const std::vector<int>& degrees,
+                  const std::function<bool()>& compute) override {
+    if (!verdicts_) return compute();
+    // The verdict depends on the degree set, so it is part of the kind.
+    const std::string kind = "zr:" + degrees_tag(degrees);
+    if (const auto hit = cache_.find(kind, problem)) {
+      if (const auto* solvable = hit->find("solvable");
+          solvable != nullptr && solvable->is_bool()) {
+        return solvable->as_bool();
+      }
+    }
+    const bool solvable = compute();
+    json::Value value = json::Value::make_object();
+    value.object()["solvable"] = json::Value(solvable);
+    cache_.insert(kind, problem, value, nullptr, /*index_canonical=*/false);
+    return solvable;
+  }
+
+ private:
+  Cache& cache_;
+  bool verdicts_;
 };
 
-json::Value summary_to_json(const EngineSummary& s) {
-  json::Value value = json::Value::make_object();
-  auto& object = value.object();
-  object["zero_round_step"] =
-      json::Value(static_cast<std::int64_t>(s.zero_round_step));
-  object["steps_applied"] =
-      json::Value(static_cast<std::int64_t>(s.steps_applied));
-  object["fixed_point"] = json::Value(s.fixed_point);
-  object["budget_exhausted"] = json::Value(s.budget_exhausted);
-  object["detected_unsolvable"] = json::Value(s.detected_unsolvable);
-  object["preflight_dead_labels"] =
-      json::Value(static_cast<std::int64_t>(s.preflight_dead_labels));
-  object["message"] = json::Value(s.message);
-  return value;
-}
+/// Stands for the base problem's name in a stored engine note.
+constexpr char kNameMarker = '\x1f';
 
-EngineSummary summary_from_json(const json::Value& value) {
-  EngineSummary s;
-  const auto read_int = [&value](const char* key, auto& out) {
-    if (const auto* v = value.find(key); v != nullptr && v->is_number()) {
-      out = static_cast<std::remove_reference_t<decltype(out)>>(v->as_int());
-    }
-  };
-  read_int("zero_round_step", s.zero_round_step);
-  read_int("steps_applied", s.steps_applied);
-  read_int("preflight_dead_labels", s.preflight_dead_labels);
-  const auto read_bool = [&value](const char* key, bool& out) {
-    if (const auto* v = value.find(key); v != nullptr && v->is_bool()) {
-      out = v->as_bool();
-    }
-  };
-  read_bool("fixed_point", s.fixed_point);
-  read_bool("budget_exhausted", s.budget_exhausted);
-  read_bool("detected_unsolvable", s.detected_unsolvable);
-  if (const auto* m = value.find("message"); m != nullptr && m->is_string()) {
-    s.message = m->as_string();
-  }
-  return s;
-}
-
-/// `SpeedupEngine::run` semantics, re-expressed over the result cache: the
-/// whole-run summary is memoized per base problem, and on a miss every
-/// `Rbar o R` iterate and 0-round verdict flows through the shared step
-/// cache - so two different base problems whose sequences merge (common
-/// after reduction) never recompute the shared tail.
-EngineSummary cached_speedup(const NodeEdgeCheckableLcl& base,
-                             const SpeedupEngine::Options& options,
-                             Cache* cache,
-                             const lint::CanonicalForm* base_form) {
+/// Fills `out`'s engine columns with what `SpeedupEngine::run` reports for
+/// `base`. The whole run is memoized per base problem, and on a miss the
+/// engine runs with `memo`, so base problems whose sequences merge (common
+/// after reduction) share the tail. The engine runs under the name
+/// `kNameMarker`, which makes its note (naming iterates such as
+/// `Rbar(R(<name>))`) a template: every replay renders it with the
+/// requesting member's name, whichever member stored it. Notes stored
+/// without the marker replay verbatim.
+void cached_speedup(const NodeEdgeCheckableLcl& base,
+                    const SpeedupEngine::Options& options, Cache* cache,
+                    SpeedupEngine::Memo* memo,
+                    const lint::CanonicalForm* base_form,
+                    ProblemOutcome& out) {
   const std::string kind =
       "engine:" + degrees_tag(options.degrees) + ":s" +
       std::to_string(options.max_steps) + ":l" +
@@ -197,68 +155,55 @@ EngineSummary cached_speedup(const NodeEdgeCheckableLcl& base,
       std::to_string(options.limits.max_configs) +
       (options.reduce ? ":r" : ":f");
   if (const auto hit = cache_find(cache, kind, base, base_form)) {
-    return summary_from_json(*hit);
-  }
-
-  EngineSummary s;
-  NodeEdgeCheckableLcl effective = base;
-  if (options.preflight_lint) {
-    lint::LintOptions lint_options;
-    lint_options.zero_round = false;
-    auto preflight = lint::prune_problem(base, lint_options);
-    s.preflight_dead_labels = preflight.report.dead_labels;
-    if (preflight.report.trivially_unsolvable) {
-      s.detected_unsolvable = true;
-      s.message = "preflight lint (L020): the pruned constraint set is empty";
-      cache_put(cache, kind, base, summary_to_json(s), base_form);
-      return s;
+    const auto read_int = [&hit](const char* key, auto& field) {
+      if (const auto* v = hit->find(key); v != nullptr && v->is_number()) {
+        field =
+            static_cast<std::remove_reference_t<decltype(field)>>(v->as_int());
+      }
+    };
+    const auto read_bool = [&hit](const char* key, bool& field) {
+      if (const auto* v = hit->find(key); v != nullptr && v->is_bool()) {
+        field = v->as_bool();
+      }
+    };
+    read_int("zero_round_step", out.zero_round_step);
+    read_int("steps_applied", out.steps_applied);
+    read_int("preflight_dead_labels", out.preflight_dead_labels);
+    read_bool("fixed_point", out.fixed_point);
+    read_bool("budget_exhausted", out.budget_exhausted);
+    read_bool("detected_unsolvable", out.detected_unsolvable);
+    if (const auto* m = hit->find("message"); m != nullptr && m->is_string()) {
+      out.note = m->as_string();
     }
-    if (preflight.changed) effective = std::move(preflight.problem);
+  } else {
+    SpeedupEngine engine(
+        NodeEdgeCheckableLcl(base).renamed(std::string(1, kNameMarker)));
+    const auto outcome = engine.run(options, memo);
+    out.zero_round_step = outcome.zero_round_step;
+    out.steps_applied = static_cast<int>(engine.steps_applied());
+    out.fixed_point = outcome.fixed_point;
+    out.budget_exhausted = outcome.budget_exhausted;
+    out.detected_unsolvable = outcome.detected_unsolvable;
+    out.preflight_dead_labels = outcome.preflight_dead_labels;
+    out.note = outcome.blowup_message;
+    json::Value value = json::Value::make_object();
+    auto& object = value.object();
+    object["zero_round_step"] =
+        json::Value(static_cast<std::int64_t>(out.zero_round_step));
+    object["steps_applied"] =
+        json::Value(static_cast<std::int64_t>(out.steps_applied));
+    object["fixed_point"] = json::Value(out.fixed_point);
+    object["budget_exhausted"] = json::Value(out.budget_exhausted);
+    object["detected_unsolvable"] = json::Value(out.detected_unsolvable);
+    object["preflight_dead_labels"] =
+        json::Value(static_cast<std::int64_t>(out.preflight_dead_labels));
+    object["message"] = json::Value(out.note);
+    cache_put(cache, kind, base, value, base_form);
   }
-
-  const auto finish = [&]() {
-    cache_put(cache, kind, base, summary_to_json(s), base_form);
-    return s;
-  };
-
-  if (zero_round_cached(effective, options.degrees, cache)) {
-    s.zero_round_step = 0;
-    return finish();
+  for (auto at = out.note.find(kNameMarker); at != std::string::npos;
+       at = out.note.find(kNameMarker, at + base.name().size())) {
+    out.note.replace(at, 1, base.name());
   }
-  NodeEdgeCheckableLcl current = std::move(effective);
-  std::uint64_t current_signature = constraint_signature(current);
-  for (int step = 0; step < options.max_steps; ++step) {
-    NodeEdgeCheckableLcl next;
-    try {
-      next = speedup_step_cached(current, options.limits, options.reduce,
-                                 cache);
-    } catch (const ReBlowupError& e) {
-      s.budget_exhausted = true;
-      s.message = e.what();
-      return finish();
-    } catch (const std::runtime_error& e) {
-      // reduce() trimmed every output label: unsolvable on any graph with
-      // an edge (same interpretation as SpeedupEngine::run).
-      s.detected_unsolvable = true;
-      s.message = e.what();
-      return finish();
-    }
-    s.steps_applied = step + 1;
-    if (zero_round_cached(next, options.degrees, cache)) {
-      s.zero_round_step = step + 1;
-      return finish();
-    }
-    const std::uint64_t next_signature = constraint_signature(next);
-    if (next_signature == current_signature &&
-        (same_constraints(next, current) ||
-         isomorphic_constraints(next, current))) {
-      s.fixed_point = true;
-      return finish();
-    }
-    current = std::move(next);
-    current_signature = next_signature;
-  }
-  return finish();
 }
 
 bool classifiers_applicable(const NodeEdgeCheckableLcl& problem) {
@@ -279,6 +224,11 @@ ProblemOutcome survey_one(const FamilyMember& member,
 
   try {
     Cache* cache = options.cache;
+    std::optional<CacheMemo> memo, step_memo;
+    if (cache != nullptr) {
+      memo.emplace(*cache, /*verdicts=*/true);
+      step_memo.emplace(*cache, /*verdicts=*/false);
+    }
     // One orbit search per member, shared by the canonical-key column and
     // every canonical-tier lookup below. The key is permutation-invariant
     // only when the search completed; an exhausted form falls back to the
@@ -292,59 +242,43 @@ ProblemOutcome survey_one(const FamilyMember& member,
             : hex_signature(out.signature) + "/incomplete";
     const lint::CanonicalForm* form = &canonical;
     if (classifiers_applicable(problem)) {
-      if (options.classify_cycles) {
-        const std::string kind =
-            "cycle:s" + std::to_string(options.classifier_speedup_steps);
+      const auto classify = [&](const std::string& kind,
+                                const auto& verdict_of, std::string& column) {
         if (const auto hit = cache_find(cache, kind, problem, form)) {
           if (const auto* c = hit->find("complexity");
               c != nullptr && c->is_string()) {
-            out.cycle_class = c->as_string();
+            column = c->as_string();
           }
-        } else {
-          const auto verdict =
-              classify_on_cycles(problem, options.classifier_speedup_steps);
-          out.cycle_class = to_string(verdict.complexity);
-          json::Value value = json::Value::make_object();
-          value.object()["complexity"] = json::Value(out.cycle_class);
-          value.object()["collapse"] = json::Value(
-              static_cast<std::int64_t>(verdict.zero_round_collapse_step));
-          value.object()["pruned"] =
-              json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
-          cache_put(cache, kind, problem, value, form);
+          return;
         }
+        const auto verdict = verdict_of();
+        column = to_string(verdict.complexity);
+        json::Value value = json::Value::make_object();
+        value.object()["complexity"] = json::Value(column);
+        value.object()["collapse"] = json::Value(
+            static_cast<std::int64_t>(verdict.zero_round_collapse_step));
+        value.object()["pruned"] =
+            json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
+        cache_put(cache, kind, problem, value, form);
+      };
+      const int steps = options.classifier_speedup_steps;
+      SpeedupEngine::Memo* const steps_only = step_memo ? &*step_memo : nullptr;
+      if (options.classify_cycles) {
+        classify(
+            "cycle:s" + std::to_string(steps),
+            [&]() { return classify_on_cycles(problem, steps, steps_only); },
+            out.cycle_class);
       }
       if (options.classify_paths) {
-        const std::string kind =
-            "path:s" + std::to_string(options.classifier_speedup_steps);
-        if (const auto hit = cache_find(cache, kind, problem, form)) {
-          if (const auto* c = hit->find("complexity");
-              c != nullptr && c->is_string()) {
-            out.path_class = c->as_string();
-          }
-        } else {
-          const auto verdict =
-              classify_on_paths(problem, options.classifier_speedup_steps);
-          out.path_class = to_string(verdict.complexity);
-          json::Value value = json::Value::make_object();
-          value.object()["complexity"] = json::Value(out.path_class);
-          value.object()["collapse"] = json::Value(
-              static_cast<std::int64_t>(verdict.zero_round_collapse_step));
-          value.object()["pruned"] =
-              json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
-          cache_put(cache, kind, problem, value, form);
-        }
+        classify(
+            "path:s" + std::to_string(steps),
+            [&]() { return classify_on_paths(problem, steps, steps_only); },
+            out.path_class);
       }
     }
 
-    const EngineSummary summary =
-        cached_speedup(problem, options.engine, options.cache, form);
-    out.zero_round_step = summary.zero_round_step;
-    out.steps_applied = summary.steps_applied;
-    out.fixed_point = summary.fixed_point;
-    out.budget_exhausted = summary.budget_exhausted;
-    out.detected_unsolvable = summary.detected_unsolvable;
-    out.preflight_dead_labels = summary.preflight_dead_labels;
-    out.note = summary.message;
+    cached_speedup(problem, options.engine, cache, memo ? &*memo : nullptr,
+                   form, out);
 
     if (options.check_nodes >= 2) {
       const std::string kind = "check:n" +

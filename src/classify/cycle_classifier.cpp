@@ -7,7 +7,6 @@
 #include "core/configuration.hpp"
 #include "lint/analyzer.hpp"
 #include "obs/obs.hpp"
-#include "re/engine.hpp"
 
 namespace lcl {
 
@@ -61,7 +60,8 @@ std::vector<std::vector<Label>> walk_automaton(
 }  // namespace
 
 CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
-                                       int max_speedup_steps) {
+                                       int max_speedup_steps,
+                                       SpeedupEngine::Memo* memo) {
   validate(problem);
   LCL_OBS_SPAN(span, "classify/cycles", "classify");
   CycleClassification result;
@@ -114,7 +114,7 @@ CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
   SpeedupEngine::Options options;
   options.max_steps = max_speedup_steps;
   options.degrees = {2};
-  const auto outcome = engine.run(options);
+  const auto outcome = engine.run(options, memo);
   if (outcome.zero_round_step >= 0) {
     result.complexity = CycleComplexity::kConstant;
     result.zero_round_collapse_step = outcome.zero_round_step;

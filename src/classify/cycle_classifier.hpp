@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/lcl.hpp"
+#include "re/engine.hpp"
 
 namespace lcl {
 
@@ -59,9 +60,10 @@ struct CycleClassification {
 /// The O(1)/log* separation is a semidecision procedure in the spirit of
 /// Question 1.7: a collapse certifies O(1); exhausting the budget reports
 /// log* (correct for every problem whose collapse point, if any, lies
-/// within the budget).
-CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
-                                       int max_speedup_steps = 3);
+/// within the budget). `memo`, when given, is the engine's memo.
+CycleClassification classify_on_cycles(
+    const NodeEdgeCheckableLcl& problem, int max_speedup_steps = 3,
+    SpeedupEngine::Memo* memo = nullptr);
 
 /// True iff the problem (no inputs, Delta >= 2) is solvable on the cycle of
 /// length `n` - computed from the walk automaton, suitable for

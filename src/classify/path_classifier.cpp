@@ -117,7 +117,8 @@ bool solvable_on_path_length(const NodeEdgeCheckableLcl& problem,
 }
 
 PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
-                                     int max_speedup_steps) {
+                                     int max_speedup_steps,
+                                     SpeedupEngine::Memo* memo) {
   validate(problem);
   LCL_OBS_SPAN(span, "classify/paths", "classify");
   PathClassification result;
@@ -191,7 +192,7 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
   SpeedupEngine::Options options;
   options.max_steps = max_speedup_steps;
   options.degrees = {1, 2};
-  const auto outcome = engine.run(options);
+  const auto outcome = engine.run(options, memo);
   if (outcome.zero_round_step >= 0) {
     result.complexity = CycleComplexity::kConstant;
     result.zero_round_collapse_step = outcome.zero_round_step;

@@ -26,8 +26,10 @@ struct PathClassification {
 ///  - feasible for all large n (some gcd-1 SCC on a start-to-end route, or
 ///    enough slack in walk lengths) => Theta(log* n) or, when the round
 ///    elimination engine collapses (degrees {1, 2}), O(1).
+/// `memo`, when given, is the engine's memo.
 PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
-                                     int max_speedup_steps = 2);
+                                     int max_speedup_steps = 2,
+                                     SpeedupEngine::Memo* memo = nullptr);
 
 /// True iff the problem is solvable on the path with `n` nodes (n >= 1
 /// single node allowed only when n >= 2 here: a 1-node path has no

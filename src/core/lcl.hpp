@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/alphabet.hpp"
@@ -35,6 +36,11 @@ class NodeEdgeCheckableLcl {
   NodeEdgeCheckableLcl() = default;
 
   const std::string& name() const noexcept { return name_; }
+  /// This problem under another name (names never affect constraints).
+  NodeEdgeCheckableLcl renamed(std::string name) && {
+    name_ = std::move(name);
+    return std::move(*this);
+  }
   const Alphabet& input_alphabet() const noexcept { return input_; }
   const Alphabet& output_alphabet() const noexcept { return output_; }
 

@@ -16,8 +16,6 @@
 #include "local/view.hpp"
 #include "re/engine.hpp"
 #include "re/lift.hpp"
-#include "re/operators.hpp"
-#include "re/reduce.hpp"
 #include "re/zero_round.hpp"
 #include "volume/algorithms.hpp"
 #include "volume/model.hpp"
@@ -88,11 +86,9 @@ OracleResult oracle_lift_soundness(const FuzzCase& c,
     return r;
   }
 
-  ReStep psi;
-  ReStep next;
+  SequenceLevel level;
   try {
-    psi = reduce_step(apply_r(c.problem, o.limits), o.limits.kernel);
-    next = reduce_step(apply_rbar(psi.problem, o.limits), o.limits.kernel);
+    level = speedup_step(c.problem, o.limits);
   } catch (const ReBlowupError&) {
     return r;  // enumeration budget - skip, don't judge
   } catch (const std::logic_error&) {
@@ -117,9 +113,9 @@ OracleResult oracle_lift_soundness(const FuzzCase& c,
   }
 
   if (o.inject == "drop-rbar-config") {
-    auto corrupted = drop_one_config(next.problem);
+    auto corrupted = drop_one_config(level.next.problem);
     if (!corrupted) return r;  // nothing to drop on this case
-    next.problem = std::move(*corrupted);
+    level.next.problem = std::move(*corrupted);
   }
 
   r.applicable = true;
@@ -128,7 +124,7 @@ OracleResult oracle_lift_soundness(const FuzzCase& c,
   try {
     base_solvable = brute_force_solvable(c.problem, c.graph, c.input,
                                          o.brute_force_budget);
-    next_solution = brute_force_solve(next.problem, c.graph, c.input,
+    next_solution = brute_force_solve(level.next.problem, c.graph, c.input,
                                       o.brute_force_budget);
   } catch (const StepBudgetExceeded&) {
     r.applicable = false;
@@ -146,7 +142,6 @@ OracleResult oracle_lift_soundness(const FuzzCase& c,
   }
 
   if (next_solution) {
-    const SequenceLevel level{psi, next};
     try {
       const auto lifted = lift_solution(c.problem, level, c.graph, c.input,
                                         *next_solution);

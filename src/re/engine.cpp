@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "lint/analyzer.hpp"
-#include "lint/canonical.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_context.hpp"
 #include "re/operators.hpp"
@@ -155,6 +154,15 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
 
 }  // namespace
 
+SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
+                           const ReLimits& limits, bool reduce) {
+  ReStep psi = apply_r(pi, limits);
+  if (reduce) psi = reduce_step(std::move(psi), limits.kernel);
+  ReStep next = apply_rbar(psi.problem, limits);
+  if (reduce) next = reduce_step(std::move(next), limits.kernel);
+  return SequenceLevel{std::move(psi), std::move(next)};
+}
+
 SpeedupEngine::SpeedupEngine(NodeEdgeCheckableLcl base)
     : base_(std::move(base)), effective_base_(base_) {}
 
@@ -164,13 +172,31 @@ const NodeEdgeCheckableLcl& SpeedupEngine::problem_at(std::size_t i) const {
   throw std::out_of_range("SpeedupEngine::problem_at: step not computed");
 }
 
-SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
+bool SpeedupEngine::zero_round(const NodeEdgeCheckableLcl& problem, int step,
+                               const Options& options, Memo* memo) {
+  bool computed = false;
+  const auto compute = [&]() {
+    computed = true;
+    witness_ = find_zero_round_algorithm(problem, options.degrees);
+    if (witness_) witness_step_ = step;
+    return witness_.has_value();
+  };
+  const bool solvable =
+      memo == nullptr ? compute()
+                      : memo->zero_round(problem, options.degrees, compute);
+  if (!computed) memo_served_ = true;
+  return solvable;
+}
+
+SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
+                                          Memo* memo) {
   LCL_OBS_SPAN(run_span, "re/run", "re");
   LCL_OBS_COUNTER_ADD("re.runs", 1);
   Outcome outcome;
   levels_.clear();
   witness_.reset();
   witness_step_ = -1;
+  memo_served_ = false;
   effective_base_ = base_;
   prune_new_to_old_.clear();
 
@@ -202,9 +228,7 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
     }
   }
 
-  if (auto w = find_zero_round_algorithm(effective_base_, options.degrees)) {
-    witness_ = std::move(w);
-    witness_step_ = 0;
+  if (zero_round(effective_base_, 0, options, memo)) {
     outcome.zero_round_step = 0;
     return outcome;
   }
@@ -216,46 +240,36 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
     LCL_OBS_SPAN_ARG(step_span, "index", step);
     StepStats stats;
     stats.index = step;
+    bool computed = false;
     try {
       const NodeEdgeCheckableLcl& current =
           levels_.empty() ? effective_base_ : levels_.back().next.problem;
-      ReStep psi = apply_r(current, options.limits);
-      if (options.reduce) {
-        psi = reduce_step(std::move(psi), options.limits.kernel);
-      }
-      ReStep next = apply_rbar(psi.problem, options.limits);
-      if (options.reduce) {
-        next = reduce_step(std::move(next), options.limits.kernel);
-      }
-      if (options.canonicalize_iterates) {
-        // Pure relabeling of the iterate: the problem takes its canonical
-        // label order and the meaning table is permuted alongside
-        // (new_meaning[p[l]] = meaning[l]), so the lift consumes the same
-        // label -> label-set associations and the synthesized algorithm is
-        // untouched.
-        const auto form =
-            lint::canonical_form(lint::spec_from_problem(next.problem));
-        bool identity = true;
-        for (std::size_t l = 0; l < form.old_to_new.size(); ++l) {
-          if (form.old_to_new[l] != l) {
-            identity = false;
-            break;
-          }
-        }
-        if (!identity) {
-          std::vector<LabelSet> meaning(next.meaning.size());
-          for (std::size_t l = 0; l < next.meaning.size(); ++l) {
-            meaning[form.old_to_new[l]] = next.meaning[l];
-          }
-          next.problem = lint::build_spec(form.spec);
-          next.meaning = std::move(meaning);
+      SequenceLevel level;
+      const auto compute = [&]() {
+        computed = true;
+        level = speedup_step(current, options.limits, options.reduce);
+        stats.labels_psi = level.psi.problem.output_alphabet().size();
+      };
+      if (memo == nullptr) {
+        compute();
+      } else {
+        Memo::Step served = memo->step(current, options, [&]() {
+          compute();
+          return Memo::Step{level.next.problem, stats.labels_psi};
+        });
+        if (!computed) {
+          // The constraints computing the step gives, under the name it
+          // gives; no lifting data.
+          stats.labels_psi = served.labels_psi;
+          level.next.problem = std::move(served.next)
+                                   .renamed("Rbar(R(" + current.name() + "))");
+          memo_served_ = true;
         }
       }
-      stats.labels_psi = psi.problem.output_alphabet().size();
-      stats.labels_next = next.problem.output_alphabet().size();
-      stats.node_configs = next.problem.total_node_configs();
-      stats.edge_configs = next.problem.edge_configs().size();
-      levels_.push_back(SequenceLevel{std::move(psi), std::move(next)});
+      stats.labels_next = level.next.problem.output_alphabet().size();
+      stats.node_configs = level.next.problem.total_node_configs();
+      stats.edge_configs = level.next.problem.edge_configs().size();
+      levels_.push_back(std::move(level));
     } catch (const ReBlowupError& e) {
       outcome.budget_exhausted = true;
       outcome.blowup_message = e.what();
@@ -276,13 +290,15 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
     LCL_OBS_GAUGE_SET("re.current_labels", stats.labels_next);
     LCL_OBS_SPAN_ARG(step_span, "labels", stats.labels_next);
     LCL_OBS_SPAN_ARG(step_span, "node_configs", stats.node_configs);
+    LCL_OBS_SPAN_ARG(step_span, "memo", computed ? 0 : 1);
 
     const NodeEdgeCheckableLcl& latest = levels_.back().next.problem;
-    if (options.preflight_lint) {
-      // Lint each produced iterate. With `reduce` on this is a cross-check
-      // (reduction's trim performs the same support fixpoint, so any dead
-      // label here is a bug worth surfacing); with `reduce` off it
-      // quantifies what the faithful sequence drags along.
+    if (options.preflight_lint && computed) {
+      // Lint each computed iterate (a served one was linted when it was
+      // computed). With `reduce` on this is a cross-check (reduction's trim
+      // performs the same support fixpoint, so any dead label here is a bug
+      // worth surfacing); with `reduce` off it quantifies what the faithful
+      // sequence drags along.
       lint::LintOptions lint_options;
       lint_options.zero_round = false;
       const auto iterate_report = lint::lint_problem(latest, lint_options);
@@ -291,11 +307,9 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
         LCL_OBS_EVENT1("re/iterate_dead_labels", "re", "step", step);
       }
     }
-    if (auto w = find_zero_round_algorithm(latest, options.degrees)) {
-      witness_ = std::move(w);
-      witness_step_ = static_cast<int>(levels_.size());
+    if (zero_round(latest, static_cast<int>(levels_.size()), options, memo)) {
       stats.zero_round_solvable = true;
-      outcome.zero_round_step = witness_step_;
+      outcome.zero_round_step = static_cast<int>(levels_.size());
     }
     stats.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
@@ -324,6 +338,11 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options) {
 
 std::unique_ptr<BallAlgorithm> SpeedupEngine::synthesize() const {
   LCL_OBS_SPAN(span, "re/synthesize", "re");
+  if (memo_served_) {
+    throw std::logic_error(
+        "SpeedupEngine::synthesize: run() was served by a memo, which keeps "
+        "no lifting data; run without one to synthesize");
+  }
   if (!witness_) {
     throw std::logic_error(
         "SpeedupEngine::synthesize: no 0-round witness found; run() must "

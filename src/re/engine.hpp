@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,6 +13,14 @@
 #include "re/zero_round.hpp"
 
 namespace lcl {
+
+/// One step `pi -> f(pi)` of the sequence: `R`, then `Rbar`, each followed
+/// by the sound label reduction when `reduce` is on. Throws `ReBlowupError`
+/// when an operator would exceed `limits`, and `std::runtime_error` when
+/// the reduction proves a derived problem unsolvable on every graph with an
+/// edge.
+SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
+                           const ReLimits& limits, bool reduce = true);
 
 /// Drives the problem sequence `pi, f(pi), f^2(pi), ...` with
 /// `f = Rbar o R` (Section 3.1) and tests each member for 0-round
@@ -36,18 +45,10 @@ class SpeedupEngine {
     /// verdict (trivially unsolvable) short-circuits the whole run, and
     /// dead-label pruning shrinks the base alphabet - cutting the
     /// `2^k - 1` power-set base that `R` pays - without changing any
-    /// verdict. Each produced iterate is linted too (`StepStats::
+    /// verdict. Each computed iterate is linted too (`StepStats::
     /// lint_dead_labels`; always 0 while `reduce` is on, since reduction's
     /// trim performs the same fixpoint).
     bool preflight_lint = true;
-    /// Relabel each produced iterate to its label-permutation canonical
-    /// form (`lint::canonical_form`) before it enters the sequence. Off by
-    /// default - it pays one orbit search per step. Pure renaming: the
-    /// iterate's meaning table is permuted alongside, so the lift chain
-    /// (and every verdict) is unchanged; what it buys is iterate specs
-    /// that are independent of operator enumeration order, so cross-run
-    /// comparisons and shared step caches key on the same bytes.
-    bool canonicalize_iterates = false;
   };
 
   /// Statistics for one applied step `pi_i -> pi_{i+1}`.
@@ -86,11 +87,39 @@ class SpeedupEngine {
     std::vector<StepStats> steps;
   };
 
+  /// A cache for the two pure functions `run` evaluates: the next reduced
+  /// iterate and a 0-round verdict. Each call returns the value the memo
+  /// holds for its arguments, or calls `compute` and returns its result,
+  /// keeping it if the memo keeps that kind. A served iterate needs only
+  /// the right constraints: `run` names it `Rbar(R(<current name>))`, as
+  /// computing it would.
+  class Memo {
+   public:
+    /// What `run` needs of a step it does not compute.
+    struct Step {
+      NodeEdgeCheckableLcl next;
+      std::size_t labels_psi = 0;  // StepStats::labels_psi
+    };
+
+    virtual ~Memo() = default;
+    /// `f(current)` under `options.limits` and `options.reduce`.
+    virtual Step step(const NodeEdgeCheckableLcl& current,
+                      const Options& options,
+                      const std::function<Step()>& compute) = 0;
+    /// Whether `problem` is 0-round solvable on `degrees`.
+    virtual bool zero_round(const NodeEdgeCheckableLcl& problem,
+                            const std::vector<int>& degrees,
+                            const std::function<bool()>& compute) = 0;
+  };
+
   explicit SpeedupEngine(NodeEdgeCheckableLcl base);
 
   /// Runs the sequence until 0-round solvability, a fixed point, the step
-  /// budget, or an enumeration blow-up.
-  Outcome run(const Options& options);
+  /// budget, or an enumeration blow-up. With a `memo`, steps and 0-round
+  /// verdicts it already holds are served from it instead of computed; the
+  /// outcome is the same either way (up to `StepStats::seconds`, and
+  /// `lint_dead_labels`, which only computed iterates report).
+  Outcome run(const Options& options, Memo* memo = nullptr);
 
   /// Problem `f^i(pi)`; valid for `0 <= i <= steps applied`. Index 0 is the
   /// problem as given; when the pre-flight pruned it, the sequence for
@@ -106,11 +135,18 @@ class SpeedupEngine {
   /// After `run` found `zero_round_step == k`: the synthesized k-round
   /// LOCAL algorithm for the base problem (Theorem 3.10's conclusion). Its
   /// radius is the constant k, independent of n. Throws `std::logic_error`
-  /// if no 0-round witness was found. The returned algorithm references
-  /// this engine's state; the engine must outlive it.
+  /// if no 0-round witness was found, or if the run was served anything by
+  /// a memo (served steps keep their iterates but no lifting data). The
+  /// returned algorithm references this engine's state; the engine must
+  /// outlive it.
   std::unique_ptr<BallAlgorithm> synthesize() const;
 
  private:
+  /// The 0-round test of iterate `step` (0 = the effective base), through
+  /// `memo` when there is one. A computed verdict keeps its witness.
+  bool zero_round(const NodeEdgeCheckableLcl& problem, int step,
+                  const Options& options, Memo* memo);
+
   NodeEdgeCheckableLcl base_;
   /// The lint-pruned base (== `base_` until a pre-flight prunes it). The
   /// levels always map effective_base_ -> pi_1 -> ...; synthesized outputs
@@ -120,6 +156,7 @@ class SpeedupEngine {
   std::vector<SequenceLevel> levels_;  // level i maps pi_i -> pi_{i+1}
   std::optional<ZeroRoundAlgorithm> witness_;
   int witness_step_ = -1;
+  bool memo_served_ = false;  // the last run took a step or verdict from a memo
 };
 
 }  // namespace lcl

@@ -710,18 +710,20 @@ HttpResponse Service::survey_post(const HttpRequest& request) {
        slot = std::move(slot)]() mutable {
         batch::SurveyOptions options = survey;
         options.run = &job->run;
+        std::string report_json;
+        std::string error;
         try {
-          const batch::SurveyReport report =
-              batch::run_survey(family, options);
-          std::lock_guard<std::mutex> lock(job->mutex);
-          job->report_json = report.to_json();
-          job->done = true;
+          report_json = batch::run_survey(family, options).to_json();
         } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lock(job->mutex);
-          job->error = e.what();
-          job->done = true;
+          error = e.what();
         }
+        // Released before the job reads as done, so a client that saw
+        // "done" is admitted again.
         slot.release();
+        std::lock_guard<std::mutex> lock(job->mutex);
+        job->report_json = std::move(report_json);
+        job->error = std::move(error);
+        job->done = true;
       });
 
   json::Value root = json::Value::make_object();

@@ -334,37 +334,6 @@ TEST(BatchCacheCanonical, CallerSuppliedFormSkipsNothingSemantically) {
   EXPECT_TRUE(same_constraints(permuted_copy(mm, hit->old_to_new), permuted));
 }
 
-TEST(BatchCacheCanonical, MissHandsItsCanonicalFormToTheInsert) {
-  Cache::Options options;
-  options.canonical_tier = true;
-  Cache cache(std::move(options));
-  const auto mm = problems::maximal_matching(2);
-  const auto permuted = permuted_copy(mm, {2, 0, 1});
-
-  // A miss computes the query's form once and hands it out...
-  std::optional<lint::CanonicalForm> form;
-  EXPECT_FALSE(cache.find_canonical("zr", mm, nullptr, &form).has_value());
-  ASSERT_TRUE(form.has_value());
-  EXPECT_TRUE(form->spec ==
-              lint::canonical_form(lint::spec_from_problem(mm)).spec);
-  // ...and the insert indexing with it serves permuted queries as before.
-  cache.insert("zr", mm, tag("mm"), &*form);
-  const auto hit = cache.find_canonical("zr", permuted);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->permuted);
-
-  // An exact-tier hit needs no form and computes none.
-  std::optional<lint::CanonicalForm> unused;
-  ASSERT_TRUE(cache.find_canonical("zr", mm, nullptr, &unused).has_value());
-  EXPECT_FALSE(unused.has_value());
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(stats.canonical_hits, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-}
-
 TEST(BatchCacheCanonical, EligibilityRoundTripsThroughTheDiskTier) {
   const std::string path = testing::TempDir() + "lcl_batch_cache_canon.jsonl";
   std::remove(path.c_str());

@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "batch/cache.hpp"
@@ -97,26 +100,63 @@ TEST(Survey, AgreesWithTheUncachedSpeedupEngine) {
   family.members.push_back(FamilyMember{"trivial", problems::trivial(2)});
   family.members.push_back(FamilyMember{"mm3", problems::maximal_matching(3)});
   family.members.push_back(FamilyMember{"2col", problems::two_coloring(2)});
-
-  const auto options = default_options();
-  const auto report = batch::run_survey(family, options);
-  ASSERT_EQ(report.outcomes.size(), 3u);
-  for (const auto& outcome : report.outcomes) {
-    EXPECT_TRUE(outcome.error.empty()) << outcome.name << ": " << outcome.error;
-    const NodeEdgeCheckableLcl* problem = nullptr;
-    for (const auto& member : family.members) {
-      if (member.name == outcome.name) problem = &member.problem;
+  // Delta=2 l=3 members whose notes name an iterate of the member:
+  // n14-e17 and n19-e12 are one canonical class, and n19-e44 walks through
+  // iterates n19-e12 stores first. A cached note that kept the name of
+  // whichever member computed it would show here.
+  batch::ExhaustiveFamilyOptions d2l3;
+  d2l3.labels = 3;
+  for (auto& member : batch::exhaustive_family(d2l3).members) {
+    if (member.name == "d2l3-n14-e17" || member.name == "d2l3-n19-e12" ||
+        member.name == "d2l3-n19-e44") {
+      family.members.push_back(std::move(member));
     }
-    ASSERT_NE(problem, nullptr) << outcome.name;
-    SpeedupEngine engine(*problem);
-    const auto expected = engine.run(options.engine);
-    EXPECT_EQ(outcome.zero_round_step, expected.zero_round_step)
-        << outcome.name;
-    EXPECT_EQ(outcome.fixed_point, expected.fixed_point) << outcome.name;
-    EXPECT_EQ(outcome.budget_exhausted, expected.budget_exhausted)
-        << outcome.name;
-    EXPECT_EQ(outcome.detected_unsolvable, expected.detected_unsolvable)
-        << outcome.name;
+  }
+  ASSERT_EQ(family.members.size(), 6u);
+
+  auto options = default_options();
+  std::map<std::string, std::pair<SpeedupEngine::Outcome, std::size_t>>
+      expected;
+  for (const auto& member : family.members) {
+    SpeedupEngine engine(member.problem);
+    auto outcome = engine.run(options.engine);
+    expected.emplace(member.name, std::make_pair(std::move(outcome),
+                                                 engine.steps_applied()));
+  }
+
+  for (const std::string key_mode : {"none", "raw", "canonical"}) {
+    for (const std::size_t jobs : {1u, 4u}) {
+      SCOPED_TRACE(key_mode + " cache, jobs=" + std::to_string(jobs));
+      std::optional<Cache> cache;
+      if (key_mode != "none") {
+        Cache::Options cache_options;
+        cache_options.canonical_tier = key_mode == "canonical";
+        cache.emplace(std::move(cache_options));
+      }
+      options.cache = cache ? &*cache : nullptr;
+      options.jobs = jobs;
+      const auto report = batch::run_survey(family, options);
+      ASSERT_EQ(report.outcomes.size(), family.members.size());
+      for (const auto& outcome : report.outcomes) {
+        EXPECT_TRUE(outcome.error.empty())
+            << outcome.name << ": " << outcome.error;
+        const auto it = expected.find(outcome.name);
+        ASSERT_NE(it, expected.end()) << outcome.name;
+        const auto& [want, steps_applied] = it->second;
+        EXPECT_EQ(outcome.zero_round_step, want.zero_round_step)
+            << outcome.name;
+        EXPECT_EQ(outcome.steps_applied, static_cast<int>(steps_applied))
+            << outcome.name;
+        EXPECT_EQ(outcome.fixed_point, want.fixed_point) << outcome.name;
+        EXPECT_EQ(outcome.budget_exhausted, want.budget_exhausted)
+            << outcome.name;
+        EXPECT_EQ(outcome.detected_unsolvable, want.detected_unsolvable)
+            << outcome.name;
+        EXPECT_EQ(outcome.preflight_dead_labels, want.preflight_dead_labels)
+            << outcome.name;
+        EXPECT_EQ(outcome.note, want.blowup_message) << outcome.name;
+      }
+    }
   }
 }
 

@@ -2,9 +2,8 @@
 // tier: canonical forms and their evidence maps, automorphism detection
 // (orders, saturation, generating witnesses), permutation-invariant
 // signatures at small and LabelMaskW-tier alphabet sizes (96 and 512
-// labels), the analyzer's L050/L051/L052 surface, the engine's
-// `canonicalize_iterates` parity fence, and the lcl_lint CLI's cross-file,
-// SARIF, and --fix semantics.
+// labels), the analyzer's L050/L051/L052 surface, and the lcl_lint CLI's
+// cross-file, SARIF, and --fix semantics.
 
 #include "lint/canonical.hpp"
 
@@ -20,17 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "core/checker.hpp"
 #include "core/problems.hpp"
-#include "graph/generators.hpp"
-#include "graph/labeling.hpp"
 #include "lint/analyzer.hpp"
 #include "lint/diagnostic.hpp"
 #include "lint/sarif.hpp"
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
-#include "re/engine.hpp"
-#include "util/rng.hpp"
 
 namespace lcl {
 namespace {
@@ -321,49 +315,6 @@ TEST(CanonicalWide, FullLintSweepAt96Labels) {
   const auto symmetric_report = lint::lint_spec(symmetric_spec(64), options);
   EXPECT_EQ(count_code(symmetric_report, Code::kLabelSymmetry), 1);
   EXPECT_TRUE(symmetric_report.automorphism_order_saturated);
-}
-
-// ---------------------------------------------------------------------------
-// Engine parity: canonicalize_iterates is pure renaming.
-
-TEST(CanonicalEngine, CanonicalizedIteratesPreserveVerdictAndSynthesis) {
-  SpeedupEngine plain_engine(problems::any_orientation(2));
-  SpeedupEngine canonical_engine(problems::any_orientation(2));
-  SpeedupEngine::Options options;
-  options.max_steps = 3;
-  const auto plain = plain_engine.run(options);
-  options.canonicalize_iterates = true;
-  const auto canonical = canonical_engine.run(options);
-
-  EXPECT_EQ(canonical.zero_round_step, plain.zero_round_step);
-  EXPECT_EQ(canonical.detected_unsolvable, plain.detected_unsolvable);
-  EXPECT_EQ(canonical.fixed_point, plain.fixed_point);
-  EXPECT_EQ(canonical.budget_exhausted, plain.budget_exhausted);
-  ASSERT_GE(canonical.zero_round_step, 1);
-
-  // The synthesized algorithm built over canonicalized iterates must still
-  // solve the *original* problem.
-  const auto algorithm = canonical_engine.synthesize();
-  SplitRng rng(11);
-  const auto problem = problems::any_orientation(2);
-  for (std::size_t n : {2u, 7u, 40u}) {
-    Graph g = make_path(n);
-    const auto input = uniform_labeling(g, 0);
-    const auto ids = random_distinct_ids(g, 3, rng);
-    const auto output = run_ball_algorithm(*algorithm, g, input, ids);
-    const auto check = check_solution(problem, g, input, output);
-    EXPECT_TRUE(check.ok()) << "n=" << n << "\n" << check.to_string();
-  }
-
-  // A hardness verdict is relabeling-invariant too.
-  SpeedupEngine fixed_plain(problems::sinkless_orientation(3));
-  SpeedupEngine fixed_canonical(problems::sinkless_orientation(3));
-  options.canonicalize_iterates = false;
-  const auto fp = fixed_plain.run(options);
-  options.canonicalize_iterates = true;
-  const auto fc = fixed_canonical.run(options);
-  EXPECT_EQ(fc.zero_round_step, fp.zero_round_step);
-  EXPECT_EQ(fc.fixed_point, fp.fixed_point);
 }
 
 // ---------------------------------------------------------------------------

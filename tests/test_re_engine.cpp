@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/brute_force.hpp"
 #include "core/checker.hpp"
 #include "core/problems.hpp"
@@ -205,6 +210,127 @@ TEST(Engine, ProblemAtTracksSequence) {
   }
   EXPECT_THROW(engine.problem_at(engine.steps_applied() + 1),
                std::out_of_range);
+}
+
+// ---------------------------------------------------------------------------
+// The step memo (SpeedupEngine::Memo).
+
+/// An in-memory memo keyed on exact constraints (one degree set per memo).
+/// Counts what it serves and what it had computed.
+class FakeMemo final : public SpeedupEngine::Memo {
+ public:
+  Step step(const NodeEdgeCheckableLcl& current,
+            const SpeedupEngine::Options& /*options*/,
+            const std::function<Step()>& compute) override {
+    for (const auto& [key, value] : steps_) {
+      if (same_constraints(key, current)) {
+        ++served;
+        return value;
+      }
+    }
+    steps_.emplace_back(current, compute());
+    ++computed;
+    return steps_.back().second;
+  }
+  bool zero_round(const NodeEdgeCheckableLcl& problem,
+                  const std::vector<int>& /*degrees*/,
+                  const std::function<bool()>& compute) override {
+    for (const auto& [key, value] : verdicts_) {
+      if (same_constraints(key, problem)) {
+        ++served;
+        return value;
+      }
+    }
+    verdicts_.emplace_back(problem, compute());
+    ++computed;
+    return verdicts_.back().second;
+  }
+
+  int served = 0;
+  int computed = 0;
+
+ private:
+  std::vector<std::pair<NodeEdgeCheckableLcl, Step>> steps_;
+  std::vector<std::pair<NodeEdgeCheckableLcl, bool>> verdicts_;
+};
+
+/// Every `Outcome` field but the step timings.
+void expect_same_outcome(const SpeedupEngine::Outcome& got,
+                         const SpeedupEngine::Outcome& want) {
+  EXPECT_EQ(got.zero_round_step, want.zero_round_step);
+  EXPECT_EQ(got.budget_exhausted, want.budget_exhausted);
+  EXPECT_EQ(got.blowup_message, want.blowup_message);
+  EXPECT_EQ(got.detected_unsolvable, want.detected_unsolvable);
+  EXPECT_EQ(got.fixed_point, want.fixed_point);
+  EXPECT_EQ(got.preflight_dead_labels, want.preflight_dead_labels);
+  EXPECT_EQ(got.preflight_pruned, want.preflight_pruned);
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (std::size_t i = 0; i < got.steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    EXPECT_EQ(got.steps[i].index, want.steps[i].index);
+    EXPECT_EQ(got.steps[i].labels_psi, want.steps[i].labels_psi);
+    EXPECT_EQ(got.steps[i].labels_next, want.steps[i].labels_next);
+    EXPECT_EQ(got.steps[i].node_configs, want.steps[i].node_configs);
+    EXPECT_EQ(got.steps[i].edge_configs, want.steps[i].edge_configs);
+    EXPECT_EQ(got.steps[i].zero_round_solvable,
+              want.steps[i].zero_round_solvable);
+    EXPECT_EQ(got.steps[i].lint_dead_labels, want.steps[i].lint_dead_labels);
+  }
+}
+
+TEST(EngineMemo, RunServedFromTheMemoMatchesTheMemoLessRun) {
+  // Output b is demanded by the edge constraint but allowed around no
+  // node; without the pre-flight it is the reduction that finds it.
+  NodeEdgeCheckableLcl::Builder dead_end("dead-end", Alphabet({"-"}),
+                                         Alphabet({"a", "b"}), 2);
+  dead_end.allow_node({0, 0}).allow_node({0});
+  dead_end.allow_edge(0, 1);
+  dead_end.unrestricted_inputs();
+  struct Case {
+    const char* what;
+    NodeEdgeCheckableLcl problem;
+    bool preflight_lint;
+  };
+  const std::vector<Case> cases = {
+      {"0-round at step 1", problems::any_orientation(2), true},
+      {"fixed point", problems::sinkless_orientation(3), true},
+      {"blow-up after a step", problems::coloring(3, 2), true},
+      {"unsolvable", dead_end.build(), false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    SpeedupEngine::Options options;
+    options.max_steps = 4;
+    options.preflight_lint = c.preflight_lint;
+
+    // A first run fills the memo under another name. The 0-round one is
+    // served nothing, so it keeps its lifting data.
+    FakeMemo memo;
+    SpeedupEngine filler(NodeEdgeCheckableLcl(c.problem).renamed("first"));
+    if (filler.run(options, &memo).zero_round_step >= 0) {
+      EXPECT_EQ(memo.served, 0);
+      EXPECT_NO_THROW(filler.synthesize());
+    }
+
+    // The second run is served everything the memo can hold and must
+    // match a memo-less run of its own problem, names included.
+    SpeedupEngine plain(NodeEdgeCheckableLcl(c.problem).renamed("second"));
+    const auto want = plain.run(options);
+    const int served_before = memo.served;
+    const int computed_before = memo.computed;
+    SpeedupEngine served(NodeEdgeCheckableLcl(c.problem).renamed("second"));
+    const auto got = served.run(options, &memo);
+    expect_same_outcome(got, want);
+    EXPECT_GT(memo.served, served_before);
+    EXPECT_EQ(memo.computed, computed_before);
+    ASSERT_EQ(served.steps_applied(), plain.steps_applied());
+    for (std::size_t i = 0; i <= plain.steps_applied(); ++i) {
+      EXPECT_EQ(served.problem_at(i).name(), plain.problem_at(i).name());
+      EXPECT_TRUE(same_constraints(served.problem_at(i), plain.problem_at(i)));
+    }
+    // Served steps keep no lifting data.
+    EXPECT_THROW(served.synthesize(), std::logic_error);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // The lcld application layer: routing, spec validation, verdict parity
-// with SpeedupEngine::run, per-request metrics and trace span, the
+// with SpeedupEngine::run, notes that name the requesting problem,
+// per-request metrics and trace span, the
 // canonical cache tier across permuted re-requests, per-request budget
 // isolation, admission control, async surveys, and the spawned-daemon
 // end-to-end contract (ephemeral port, the full API over real HTTP,
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "batch/survey.hpp"
 #include "gtest/gtest.h"
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
@@ -239,6 +241,47 @@ TEST(SvcService, PermutedReRequestServedFromCanonicalTier) {
   EXPECT_NE(metrics.body.find("svc_cache_canonical_hits"), std::string::npos);
 }
 
+TEST(SvcService, ClassifyNoteNamesTheRequester) {
+  // Two members of one canonical class whose engine notes name an iterate
+  // of the problem. The second request replays the first one's engine
+  // verdict, and its note must name the second problem, not the first.
+  batch::ExhaustiveFamilyOptions d2l3;
+  d2l3.labels = 3;
+  const auto family = batch::exhaustive_family(d2l3);
+  const auto spec_named = [&family](const std::string& member,
+                                    const std::string& name) {
+    for (const auto& m : family.members) {
+      if (m.name != member) continue;
+      auto spec = lint::spec_from_problem(m.problem);
+      spec.name = name;
+      return lint::spec_to_json(spec);
+    }
+    ADD_FAILURE() << "no member " << member;
+    return std::string();
+  };
+
+  Service service(small_options());
+  const HttpResponse first = service.handle(make_request(
+      "POST", "/v1/classify", spec_named("d2l3-n14-e17", "first")));
+  ASSERT_EQ(first.status, 200) << first.body;
+  const HttpResponse second = service.handle(make_request(
+      "POST", "/v1/classify", spec_named("d2l3-n19-e12", "second")));
+  ASSERT_EQ(second.status, 200) << second.body;
+
+  const auto first_body = parse_json(first.body);
+  const auto second_body = parse_json(second.body);
+  const std::string first_note =
+      string_at(*first_body->find("outcome"), "note");
+  const std::string second_note =
+      string_at(*second_body->find("outcome"), "note");
+  EXPECT_EQ(string_at(*first_body->find("outcome"), "canonical_key"),
+            string_at(*second_body->find("outcome"), "canonical_key"));
+  EXPECT_GT(int_at(*second_body->find("cache"), "canonical_hits"), 0);
+  EXPECT_NE(first_note.find("(first)"), std::string::npos) << first_note;
+  EXPECT_NE(second_note.find("(second)"), std::string::npos) << second_note;
+  EXPECT_EQ(second_note.find("first"), std::string::npos) << second_note;
+}
+
 TEST(SvcService, BudgetExceededFailsOnlyThatRequest) {
   Service service(small_options());
   // A cross-check on a 10-node path with a 1-step budget cannot finish:
@@ -311,11 +354,12 @@ TEST(SvcService, SurveyRunsAsyncAndAdmissionControlRejectsBeyondCap) {
   options.max_inflight = 1;
   Service service(options);
 
-  // 49 members: long enough that the slot is still held right after the
-  // 202 comes back, short enough for a test.
+  // 300 members: long enough that the slot is still held right after the
+  // 202 comes back, even on a loaded machine, short enough for a test.
   const HttpResponse accepted = service.handle(make_request(
       "POST", "/v1/survey",
-      R"({"family":{"kind":"exhaustive","max_degree":2,"labels":2},
+      R"({"family":{"kind":"exhaustive","max_degree":2,"labels":3,
+                    "max_problems":300},
           "options":{"max_steps":2}})"));
   ASSERT_EQ(accepted.status, 202) << accepted.body;
   const std::string id = string_at(*parse_json(accepted.body), "survey_id");
@@ -338,7 +382,7 @@ TEST(SvcService, SurveyRunsAsyncAndAdmissionControlRejectsBeyondCap) {
       const json::Value* report = body->find("report");
       ASSERT_NE(report, nullptr);
       EXPECT_EQ(string_at(*report, "schema"), "lclscape.survey.v3");
-      EXPECT_EQ(int_at(*report->find("survey"), "problems"), 49);
+      EXPECT_EQ(int_at(*report->find("survey"), "problems"), 300);
 
       // Slot released: compute requests are admitted again.
       const HttpResponse after =
