@@ -18,7 +18,7 @@ namespace {
 
 void run_ablation(benchmark::State& state,
                   const NodeEdgeCheckableLcl& problem, bool with_reduce,
-                  ReKernel kernel = ReKernel::kAuto) {
+                  ReKernel kernel = ReKernel::kMask) {
   ReLimits limits;
   limits.max_labels = 1u << 14;
   limits.max_configs = 8'000'000;
@@ -58,7 +58,7 @@ void run_ablation(benchmark::State& state,
 
 // Experiment BENCH-JSON / the kernel ablation: the same operator slice on
 // the original ordered-container enumeration (`kGeneric`) versus the dense
-// `LabelMask` kernels (`kMask`). One slice iteration applies both R and
+// one-word mask kernel (`kMask`). One slice iteration applies both R and
 // Rbar at the slice's scale; Rbar runs on the base problem rather than on
 // R(Pi), because the faithful composition exceeds any enumeration budget
 // already at k=5 (reduce leaves 30 labels, so Rbar(reduce(R(Pi))) would
@@ -99,27 +99,12 @@ void BM_KernelSlice_D3K5_Mask(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSlice_D3K5_Mask)->Unit(benchmark::kMillisecond);
 
-// Forced multi-word tiers on the same slice: kMask2/kMask4 widen every
-// word-parallel loop to 2/4 words even though one would do, bounding the
-// cost of the 65-128 and 129-256 label tiers relative to both endpoints
-// (they must stay well ahead of the generic enumeration; the CI gate pins
-// that ratio per tier).
-void BM_KernelSlice_D3K5_Mask2(benchmark::State& state) {
-  run_kernel_slice(state, problems::coloring(5, 3), ReKernel::kMask2);
-}
-BENCHMARK(BM_KernelSlice_D3K5_Mask2)->Unit(benchmark::kMillisecond);
-
-void BM_KernelSlice_D3K5_Mask4(benchmark::State& state) {
-  run_kernel_slice(state, problems::coloring(5, 3), ReKernel::kMask4);
-}
-BENCHMARK(BM_KernelSlice_D3K5_Mask4)->Unit(benchmark::kMillisecond);
-
 // Reduce slice past the one-word seam. The dominated-label pass is the one
 // per-iterate pass whose cost is quadratic in the alphabet, and its worst
 // case is a *fruitless* scan: every ordered pair passes the edge-partner and
 // g-preimage inclusions and is rejected only at the node-configuration
 // probe, so the full n^2 sweep runs to completion. This problem pins that
-// shape at 96 labels (W=2 tier under kAuto): all edges allowed (partner
+// shape at 96 labels (two-word holder masks): all edges allowed (partner
 // inclusions always hold), node constraint = {l, l} doubles only (replacing
 // one occurrence yields a forbidden mixed pair, so no label is ever
 // dominated, and the per-label node contexts keep merge_once from firing).
@@ -167,7 +152,7 @@ void BM_ReduceSlice_Wide96_Generic(benchmark::State& state) {
 BENCHMARK(BM_ReduceSlice_Wide96_Generic)->Unit(benchmark::kMillisecond);
 
 void BM_ReduceSlice_Wide96_Auto(benchmark::State& state) {
-  run_reduce_slice(state, wide_probe_wall(96), ReKernel::kAuto);
+  run_reduce_slice(state, wide_probe_wall(96), ReKernel::kMask);
 }
 BENCHMARK(BM_ReduceSlice_Wide96_Auto)->Unit(benchmark::kMillisecond);
 
@@ -193,7 +178,7 @@ NodeEdgeCheckableLcl d2l3_wide_iterate() {
 }
 
 void BM_ReduceSlice_D2L3_511(benchmark::State& state) {
-  run_reduce_slice(state, d2l3_wide_iterate(), ReKernel::kAuto);
+  run_reduce_slice(state, d2l3_wide_iterate(), ReKernel::kMask);
 }
 BENCHMARK(BM_ReduceSlice_D2L3_511)->Unit(benchmark::kMillisecond);
 

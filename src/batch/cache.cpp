@@ -11,8 +11,6 @@
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
 #include "obs/obs.hpp"
-#include "re/kernel.hpp"
-#include "util/label_mask.hpp"
 
 namespace lcl::batch {
 
@@ -49,20 +47,18 @@ std::uint64_t constraint_signature(const NodeEdgeCheckableLcl& problem) {
     mix(h, 0xC0FFEE);
   }
   mix(h, 0x60);
-  // `g` sets fold in as dense mask words when the output alphabet fits the
-  // widest `LabelMaskW` tier (the common case, and the only case operator
-  // iterates under the default limits produce); equal sets produce equal
-  // words, so `same_constraints(a, b)` still implies equal signatures.
-  // Alphabets up to 64 labels mix exactly one word - byte-identical to the
-  // signatures this cache produced before the multi-word tiers existed, so
-  // on-disk caches stay valid. Label-by-label fallback beyond 512 labels.
-  const std::size_t n = problem.output_alphabet().size();
-  const std::size_t g_words =
-      n <= LabelMask::kMaxUniverse ? 1 : re_kernel::mask_tier_words(n);
+  // `g` sets fold in as their `ceil(n / 64)` raw words up to 512 output
+  // labels, and label by label beyond; equal sets produce equal words, so
+  // `same_constraints(a, b)` still implies equal signatures. The 512-label
+  // cut is frozen: on-disk cache tiers and `--shard=i/N` assignments are
+  // keyed by these values.
+  constexpr std::size_t kWordFoldMaxLabels = 512;
+  const bool fold_words =
+      problem.output_alphabet().size() <= kWordFoldMaxLabels;
   for (Label in = 0; in < problem.input_alphabet().size(); ++in) {
-    if (g_words != 0) {
+    if (fold_words) {
       const LabelSet& outs = problem.allowed_outputs(in);
-      for (std::size_t w = 0; w < g_words && w < outs.word_count(); ++w) {
+      for (std::size_t w = 0; w < outs.word_count(); ++w) {
         mix(h, outs.word(w));
       }
     } else {

@@ -60,14 +60,14 @@ struct GeneratorOptions {
   /// labels plus the occasional dead one. The point is the pipeline's
   /// wide-alphabet plumbing: lint preflight must prune the dead bulk,
   /// operators see the live core, and the derived iterates (up to
-  /// `2^live - 1` labels) walk `reduce()`'s dominated pass through the
-  /// multi-word mask tiers. Degree is pinned to 2 so enumeration over a
-  /// 130-label alphabet stays affordable per seed.
+  /// `2^live - 1` labels) walk `reduce()`'s dominated pass across the
+  /// 64- and 128-label word seams. Degree is pinned to 2 so enumeration
+  /// over a 130-label alphabet stays affordable per seed.
   bool wide_alphabets = false;
   std::size_t wide_min_labels = 64;
   std::size_t wide_max_labels = 130;
-  /// Live-core size range (kept <= 8 so a derived alphabet fits 255
-  /// labels - inside the widest mask tier, past the one-word seam).
+  /// Live-core size range (kept <= 8 so a derived alphabet has at most
+  /// 255 labels - past the one-word seam, cheap to enumerate).
   std::size_t wide_min_live = 4;
   std::size_t wide_max_live = 8;
   /// Probability that `g` grants a *dead* (non-core) label - rare, so the

@@ -1,7 +1,6 @@
 #include "re/kernel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <future>
 #include <sstream>
@@ -10,7 +9,6 @@
 
 #include "batch/pool.hpp"
 #include "util/combinatorics.hpp"
-#include "util/label_mask.hpp"
 
 namespace lcl {
 
@@ -102,37 +100,27 @@ bool all_selections_in_node_constraint(const NodeEdgeCheckableLcl& pi,
   return !found_bad;
 }
 
-template <std::size_t W>
-using Words = std::array<std::uint64_t, W>;
-
-/// Bit `l` of the W-word mask. The `% W` keeps the word index provably in
-/// range for the optimizer (labels are range-checked upstream).
-template <std::size_t W>
-inline bool words_bit(const Words<W>& words, Label l) {
-  return (words[(l >> 6) % W] >> (l & 63)) & 1;
-}
-
 /// One step of the config-into-slots matching: can occurrences
 /// `labels[pos..degree)` be assigned to distinct unused slots whose words
-/// contain them? `used` is a slot bitmask. Since configurations are sorted,
-/// equal labels are adjacent; forcing equal occurrences into increasing
-/// slots (`min_slot`) collapses the permutations of identical labels to one
+/// contain them? `used[slot]` marks the slots taken so far; every call
+/// leaves it as it found it. Since configurations are sorted, equal labels
+/// are adjacent; forcing equal occurrences into increasing slots
+/// (`min_slot`) collapses the permutations of identical labels to one
 /// canonical assignment.
-template <std::size_t W>
 bool config_fits_slots(const Label* labels, std::size_t degree,
-                       const Words<W>* slots, std::uint32_t used,
-                       std::size_t pos, std::size_t min_slot) {
+                       const std::uint64_t* slots, char* used, std::size_t pos,
+                       std::size_t min_slot) {
   if (pos == degree) return true;
   const Label l = labels[pos];
   const std::size_t start =
       pos > 0 && labels[pos - 1] == l ? min_slot + 1 : 0;
   for (std::size_t slot = start; slot < degree; ++slot) {
-    if (((used >> slot) & 1) == 0 && words_bit<W>(slots[slot], l)) {
-      if (config_fits_slots<W>(labels, degree, slots,
-                               used | (std::uint32_t{1} << slot), pos + 1,
-                               slot)) {
-        return true;
-      }
+    if (used[slot] == 0 && ((slots[slot] >> l) & 1) != 0) {
+      used[slot] = 1;
+      const bool fits =
+          config_fits_slots(labels, degree, slots, used, pos + 1, slot);
+      used[slot] = 0;
+      if (fits) return true;
     }
   }
   return false;
@@ -140,13 +128,13 @@ bool config_fits_slots(const Label* labels, std::size_t degree,
 
 /// Mask variant of the EXISTS quantifier: a selection exists iff some
 /// stored configuration (flattened, `degree` labels per row) matches into
-/// the slot words.
-template <std::size_t W>
+/// the slot words. `used` is `degree` zeroed scratch slots.
 bool exists_selection_mask(const std::vector<Label>& flat_configs,
-                           const Words<W>* slots, std::size_t degree) {
+                           const std::uint64_t* slots, std::size_t degree,
+                           char* used) {
   for (std::size_t at = 0; at < flat_configs.size(); at += degree) {
-    if (config_fits_slots<W>(flat_configs.data() + at, degree, slots, 0, 0,
-                             0)) {
+    if (config_fits_slots(flat_configs.data() + at, degree, slots, used, 0,
+                          0)) {
       return true;
     }
   }
@@ -154,12 +142,12 @@ bool exists_selection_mask(const std::vector<Label>& flat_configs,
 }
 
 /// Mask variant of the FORALL quantifier: walks the cartesian product of
-/// the slot words' set bits (across all W words), canonicalizes each
-/// selection by insertion sort into `sorted` (degrees are tiny), and probes
-/// the packed memo; aborts on the first disallowed selection.
-template <std::size_t W>
-bool all_selections_mask(const NodeConfigIndex& index, const Words<W>* slots,
-                         std::size_t degree, Label* selection, Label* sorted) {
+/// the slot words' set bits, canonicalizes each selection by insertion sort
+/// into `sorted` (degrees are tiny), and probes the packed memo; aborts on
+/// the first disallowed selection.
+bool all_selections_mask(const NodeConfigIndex& index,
+                         const std::uint64_t* slots, std::size_t degree,
+                         Label* selection, Label* sorted) {
   const auto walk = [&](auto&& self, std::size_t slot) -> bool {
     if (slot == degree) {
       for (std::size_t i = 0; i < degree; ++i) {
@@ -173,14 +161,9 @@ bool all_selections_mask(const NodeConfigIndex& index, const Words<W>* slots,
       }
       return index.allows_sorted(sorted, degree);
     }
-    for (std::size_t wi = 0; wi < W; ++wi) {
-      std::uint64_t word = slots[slot][wi];
-      while (word != 0) {
-        selection[slot] = static_cast<Label>(
-            64 * wi + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-        if (!self(self, slot + 1)) return false;
-      }
+    for (std::uint64_t word = slots[slot]; word != 0; word &= word - 1) {
+      selection[slot] = static_cast<Label>(std::countr_zero(word));
+      if (!self(self, slot + 1)) return false;
     }
     return true;
   };
@@ -247,15 +230,15 @@ void run_deterministic(const std::vector<Chunk>& chunks, std::size_t jobs,
 /// ends (first-index partitions shrink as the index grows) balance out.
 constexpr std::size_t kChunksPerJob = 16;
 
-template <std::size_t W>
-std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
-                                  const NodeEdgeCheckableLcl& pi,
-                                  bool exists_node, std::size_t jobs) {
+}  // namespace
+
+std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
+                                const NodeEdgeCheckableLcl& pi,
+                                bool exists_node, std::size_t jobs) {
   const std::size_t base = pi.output_alphabet().size();
-  // The derived label indices (2^base - 1 of them) must fit one word no
-  // matter how wide the masks are; the public operators' alphabet guard
-  // rejects such bases long before dispatch, so this only fences direct
-  // callers.
+  // The derived label indices (2^base - 1 of them) must fit one word; the
+  // public operators' alphabet guard rejects such bases long before
+  // dispatch, so this only fences direct callers.
   if (base >= 63) {
     std::ostringstream os;
     os << "re_kernel::fill_mask: base alphabet of " << base
@@ -266,35 +249,28 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
   const std::uint64_t label_count = (std::uint64_t{1} << base) - 1;
   const std::size_t chunk_target = jobs <= 1 ? 1 : jobs * kChunksPerJob;
 
-  // Per-base-label edge partner words.
-  std::vector<Words<W>> partners(base);
+  // Per-base-label edge partner words. A built problem has at least one
+  // output label, and every base-label set is one word (base < 63).
+  std::vector<std::uint64_t> partners(base);
   for (std::size_t b = 0; b < base; ++b) {
-    partners[b] =
-        LabelMaskW<W>::from_label_set(pi.edge_partners(static_cast<Label>(b)))
-            .words();
+    partners[b] = pi.edge_partners(static_cast<Label>(b)).word(0);
   }
 
   // Subset DP: partner words of every derived mask from its
-  // lowest-bit-removed predecessor - one W-word AND/OR per mask. Masks over
-  // the base alphabet live in word 0 (base < 63), so the DP is indexed by
-  // the plain word-0 value; the *partner* sides are full W-word vectors.
-  std::vector<Words<W>> forall(label_count + 1, Words<W>{});
-  std::vector<Words<W>> exists(label_count + 1, Words<W>{});
+  // lowest-bit-removed predecessor - one AND/OR per mask.
+  std::vector<std::uint64_t> forall(label_count + 1, 0);
+  std::vector<std::uint64_t> exists(label_count + 1, 0);
   for (std::uint64_t m = 1; m <= label_count; ++m) {
     const std::size_t b = static_cast<std::size_t>(std::countr_zero(m));
     const std::uint64_t rest = m & (m - 1);
-    for (std::size_t w = 0; w < W; ++w) {
-      forall[m][w] =
-          rest != 0 ? (forall[rest][w] & partners[b][w]) : partners[b][w];
-      exists[m][w] =
-          rest != 0 ? (exists[rest][w] | partners[b][w]) : partners[b][w];
-    }
+    forall[m] = rest != 0 ? (forall[rest] & partners[b]) : partners[b];
+    exists[m] = rest != 0 ? (exists[rest] | partners[b]) : partners[b];
   }
 
   // Edge constraint. For R ({B1,B2} allowed iff B2 subseteq
   // forall_partners(B1), a symmetric relation) the allowed partners of B1
   // are exactly the non-empty submasks of its FORALL word - a subset walk
-  // visits just those instead of testing every pair. For Rbar a W-word AND
+  // visits just those instead of testing every pair. For Rbar one AND
   // decides each pair. The outer row loop partitions into contiguous
   // chunks; each task collects its allowed pairs into a flat arena, merged
   // in chunk order.
@@ -305,19 +281,16 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
           std::vector<std::pair<Label, Label>> allowed;
           for (std::uint64_t mi = chunk.first; mi < chunk.second; ++mi) {
             if (exists_node) {
-              for_each_nonempty_submask_words<W>(
-                  forall[mi], [&](const Words<W>& sub) {
-                    // Submasks of a base-alphabet word stay in word 0.
-                    const std::uint64_t value = sub[0];
-                    if (value >= mi) {
-                      allowed.emplace_back(static_cast<Label>(mi - 1),
-                                           static_cast<Label>(value - 1));
-                    }
-                  });
+              for_each_nonempty_submask(forall[mi], [&](std::uint64_t sub) {
+                if (sub >= mi) {
+                  allowed.emplace_back(static_cast<Label>(mi - 1),
+                                       static_cast<Label>(sub - 1));
+                }
+              });
             } else {
-              const Words<W>& any = exists[mi];
+              const std::uint64_t any = exists[mi];
               for (std::uint64_t mj = mi; mj <= label_count; ++mj) {
-                if ((mj & any[0]) != 0) {
+                if ((mj & any) != 0) {
                   allowed.emplace_back(static_cast<Label>(mi - 1),
                                        static_cast<Label>(mj - 1));
                 }
@@ -361,7 +334,8 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
         [&](const std::pair<std::uint64_t, std::uint64_t>& chunk) {
           std::vector<Label> arena;
           std::vector<std::uint32_t> idx(degree);
-          std::vector<Words<W>> slots(degree);
+          std::vector<std::uint64_t> slots(degree);
+          std::vector<char> used(degree, 0);
           std::vector<Label> selection(degree);
           std::vector<Label> sorted(degree);
           for (std::uint64_t first = chunk.first; first < chunk.second;
@@ -370,16 +344,14 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
                       static_cast<std::uint32_t>(first));
             do {
               for (std::size_t t = 0; t < degree; ++t) {
-                slots[t] = Words<W>{};
-                slots[t][0] = static_cast<std::uint64_t>(idx[t]) + 1;
+                slots[t] = static_cast<std::uint64_t>(idx[t]) + 1;
               }
               const bool allowed =
                   exists_node
-                      ? exists_selection_mask<W>(flat_configs, slots.data(),
-                                                 degree)
-                      : all_selections_mask<W>(index, slots.data(), degree,
-                                               selection.data(),
-                                               sorted.data());
+                      ? exists_selection_mask(flat_configs, slots.data(),
+                                              degree, used.data())
+                      : all_selections_mask(index, slots.data(), degree,
+                                            selection.data(), sorted.data());
               if (allowed) {
                 arena.insert(arena.end(), idx.begin(), idx.end());
               }
@@ -403,23 +375,20 @@ std::vector<LabelSet> fill_mask_w(NodeEdgeCheckableLcl::Builder& builder,
   // g: the derived labels compatible with input l are exactly the
   // non-empty submasks of g_Pi(l) - enumerated directly by a subset walk.
   for (Label in = 0; in < pi.input_alphabet().size(); ++in) {
-    const Words<W> g =
-        LabelMaskW<W>::from_label_set(pi.allowed_outputs(in)).words();
-    for_each_nonempty_submask_words<W>(g, [&](const Words<W>& sub) {
-      builder.allow_output_for_input(in, static_cast<Label>(sub[0] - 1));
-    });
+    for_each_nonempty_submask(
+        pi.allowed_outputs(in).word(0), [&](std::uint64_t sub) {
+          builder.allow_output_for_input(in, static_cast<Label>(sub - 1));
+        });
   }
 
   // Meanings: mask m denotes the base-label set with exactly m's bits.
   std::vector<LabelSet> meaning;
   meaning.reserve(label_count);
   for (std::uint64_t m = 1; m <= label_count; ++m) {
-    meaning.push_back(LabelMask(base, m).to_label_set());
+    meaning.push_back(LabelSet::from_words(base, {&m, 1}));
   }
   return meaning;
 }
-
-}  // namespace
 
 std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
                                    const NodeEdgeCheckableLcl& pi,
@@ -489,26 +458,6 @@ std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
   }
 
   return derived;
-}
-
-std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
-                                const NodeEdgeCheckableLcl& pi,
-                                bool exists_node, std::size_t words,
-                                std::size_t jobs) {
-  switch (words) {
-    case 1:
-      return fill_mask_w<1>(builder, pi, exists_node, jobs);
-    case 2:
-      return fill_mask_w<2>(builder, pi, exists_node, jobs);
-    case 4:
-      return fill_mask_w<4>(builder, pi, exists_node, jobs);
-    case 8:
-      return fill_mask_w<8>(builder, pi, exists_node, jobs);
-    default:
-      throw std::invalid_argument(
-          "re_kernel::fill_mask: supported mask tiers are 1, 2, 4 or 8 "
-          "words");
-  }
 }
 
 }  // namespace re_kernel

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/lcl.hpp"
-#include "re/step.hpp"
 
 namespace lcl {
 
@@ -14,9 +13,9 @@ namespace lcl {
 /// a 64- or 128-bit key and hashed exactly once at construction; membership
 /// probes are then one pack + one flat hash lookup instead of an ordered-set
 /// walk with vector comparisons. This is the lookup structure of the mask
-/// kernels (`ReKernel::kMask` and the wider tiers), which probe the same
-/// configurations over and over across different derived multisets;
-/// `reduce()` keeps sorted keys in the same packing.
+/// kernel (`ReKernel::kMask`), which probes the same configurations over
+/// and over across different derived multisets; `reduce()` keeps sorted
+/// keys in the same packing.
 ///
 /// Packing uses `bits_per_label = bit_width(|Sigma_out| - 1)` bits per
 /// label; a degree packs into one word when `degree * bits_per_label <= 64`
@@ -95,48 +94,19 @@ class NodeConfigIndex {
 /// with identical label names - `test_re_kernel_parity` fences that.
 namespace re_kernel {
 
-/// Narrowest supported `LabelMaskW` tier (in 64-bit words) covering an
-/// alphabet of `n` labels: 1, 2, 4 or 8; 0 when `n > 512` (no tier fits -
-/// callers fall back to the generic path and record `re.kernel_fallback`).
-constexpr std::size_t mask_tier_words(std::size_t n) {
-  if (n <= 64) return 1;
-  if (n <= 128) return 2;
-  if (n <= 256) return 4;
-  if (n <= 512) return 8;
-  return 0;
-}
-
-/// Word count a forced kernel choice pins (0 for `kAuto`/`kGeneric`, which
-/// do not force a tier).
-constexpr std::size_t forced_tier_words(ReKernel kernel) {
-  switch (kernel) {
-    case ReKernel::kMask:
-      return 1;
-    case ReKernel::kMask2:
-      return 2;
-    case ReKernel::kMask4:
-      return 4;
-    case ReKernel::kMask8:
-      return 8;
-    default:
-      return 0;
-  }
-}
-
 /// Fills `builder` (already carrying the derived alphabet) with the edge,
 /// node and `g` constraints of `R(pi)` / `Rbar(pi)`, and returns the
 /// derived labels' meanings. `exists_node` is true for `R` (node EXISTS /
 /// edge FORALL) and false for `Rbar` (node FORALL / edge EXISTS).
 ///
 /// The generic path walks `LabelSet` containers; the mask path identifies
-/// derived label `i` with the mask `i + 1` (a `LabelMaskW<words>` value),
-/// computes per-label FORALL/EXISTS partner words by a subset DP,
-/// enumerates `g`-compatible labels by multi-word subset walks, and answers
-/// node-quantifier queries through a `NodeConfigIndex`. `words` selects the
-/// mask tier (1, 2, 4 or 8); every tier produces byte-identical output (the
-/// parity battery fences this). The mask path requires the base output
-/// alphabet of `pi` to satisfy `base < 63` - the derived label *indices*
-/// (2^base - 1 of them) must fit one word regardless of tier - and throws
+/// derived label `i` with the mask `i + 1` (a plain `std::uint64_t` over
+/// the base labels), computes per-label FORALL/EXISTS partner words by a
+/// subset DP, enumerates `g`-compatible labels by subset walks, and answers
+/// node-quantifier queries through a `NodeConfigIndex`. Both produce
+/// byte-identical output (the parity battery fences this). The mask path
+/// requires the base output alphabet of `pi` to satisfy `base < 63` - the
+/// derived label masks (2^base - 1 of them) must fit one word - and throws
 /// `std::invalid_argument` otherwise.
 ///
 /// `jobs > 1` partitions the outer enumeration (edge rows, node multisets
@@ -149,8 +119,7 @@ std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
                                    bool exists_node);
 std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
                                 const NodeEdgeCheckableLcl& pi,
-                                bool exists_node, std::size_t words = 1,
-                                std::size_t jobs = 1);
+                                bool exists_node, std::size_t jobs = 1);
 
 }  // namespace re_kernel
 

@@ -1,13 +1,11 @@
 #include "re/operators.hpp"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "re/kernel.hpp"
 #include "util/combinatorics.hpp"
-#include "util/label_mask.hpp"
 
 namespace lcl {
 
@@ -35,7 +33,7 @@ Alphabet derive_alphabet(const NodeEdgeCheckableLcl& pi,
   Alphabet out;
   const std::uint64_t count = (std::uint64_t{1} << base) - 1;
   for (std::uint64_t mask = 1; mask <= count; ++mask) {
-    out.add(LabelMask(base, mask).to_string(namer));
+    out.add(LabelSet::from_words(base, {&mask, 1}).to_string(namer));
   }
   return out;
 }
@@ -47,7 +45,6 @@ ReStep apply_operator(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
                "re");
   Alphabet derived = derive_alphabet(pi, limits);
   const std::size_t label_count = derived.size();
-  const std::size_t base = pi.output_alphabet().size();
 
   // Configuration-count guard across all degrees plus edge pairs.
   std::uint64_t candidates = count_multisets(label_count, 2);
@@ -74,30 +71,20 @@ ReStep apply_operator(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
   LCL_OBS_SPAN_ARG(span, "configs", candidates);
 
   // Kernel dispatch. The alphabet guard above already rejected bases that
-  // do not fit one word, so kAuto always resolves to the one-word mask
-  // kernel here; forced tiers (kMask2/kMask4/kMask8) run the same fill over
-  // wider words (the extra words are zero for these bases - the parity
-  // battery leans on that to fence the word-seam arithmetic). The generic
-  // path stays reachable explicitly (ablation benches, parity fences).
-  const std::size_t forced = re_kernel::forced_tier_words(limits.kernel);
-  const bool use_mask = limits.kernel != ReKernel::kGeneric &&
-                        base <= LabelMask::kMaxUniverse;
-  if (limits.kernel == ReKernel::kMask && base > LabelMask::kMaxUniverse) {
-    throw std::invalid_argument(
-        "round elimination: ReKernel::kMask requires a base alphabet of at "
-        "most 64 labels");
-  }
-  const std::size_t words = use_mask ? std::max<std::size_t>(forced, 1) : 0;
-  LCL_OBS_SPAN_ARG(span, "kernel", static_cast<std::int64_t>(words));
+  // do not fit one word, so the mask kernel takes every base that gets
+  // here. The generic path stays reachable explicitly (ablation benches,
+  // parity fences). The `kernel` span arg is 1 for the mask kernel and 0
+  // for the generic one.
+  const bool use_mask = limits.kernel != ReKernel::kGeneric;
+  LCL_OBS_SPAN_ARG(span, "kernel", static_cast<std::int64_t>(use_mask));
 
   NodeEdgeCheckableLcl::Builder builder(
       std::string(name_prefix) + "(" + pi.name() + ")", pi.input_alphabet(),
       std::move(derived), pi.max_degree());
   const bool exists_node = node_quantifier == Quantifier::kExists;
   std::vector<LabelSet> meaning =
-      use_mask
-          ? re_kernel::fill_mask(builder, pi, exists_node, words, limits.jobs)
-          : re_kernel::fill_generic(builder, pi, exists_node);
+      use_mask ? re_kernel::fill_mask(builder, pi, exists_node, limits.jobs)
+               : re_kernel::fill_generic(builder, pi, exists_node);
 
   return ReStep{builder.build(), std::move(meaning)};
 }

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "re/kernel.hpp"
-#include "util/label_mask.hpp"
 #include "util/label_set.hpp"
 
 namespace lcl {
@@ -320,25 +318,36 @@ class WorkingSet {
     return dominators;
   }
 
-  /// The mask-tier domination predicate: `a`'s dominators are the labels
-  /// holding every feature of `a`, one `LabelMaskW<W>` AND per feature.
-  template <std::size_t W>
-  Dominators dominators_masked() {
+  /// The mask domination predicate: `a`'s dominators are the labels
+  /// holding every feature of `a`. Each feature keeps a holder mask of
+  /// `ceil(labels / 64)` words, and `a`'s row starts as every other label
+  /// and ANDs in the holder mask of each of its features.
+  Dominators dominators_mask() {
     const Features& f = features();
-    std::vector<LabelMaskW<W>> holders(f.count, LabelMaskW<W>(labels_));
+    const std::size_t words = (labels_ + 63) / 64;
+    std::vector<std::uint64_t> holders(f.count * words, 0);
     for (Label l = 0; l < labels_; ++l) {
-      for (const std::uint32_t id : f.of(l)) holders[id].insert(l);
+      for (const std::uint32_t id : f.of(l)) {
+        holders[id * words + l / 64] |= std::uint64_t{1} << (l % 64);
+      }
     }
+    const LabelSet everyone = LabelSet::full(labels_);
+    std::vector<std::uint64_t> row(words);
     Dominators dominators;
     dominators.reserve(labels_);
     for (Label a = 0; a < labels_; ++a) {
-      LabelMaskW<W> row = LabelMaskW<W>::full(labels_);
-      row.erase(a);
+      for (std::size_t w = 0; w < words; ++w) row[w] = everyone.word(w);
+      row[a / 64] &= ~(std::uint64_t{1} << (a % 64));
       for (const std::uint32_t id : f.of(a)) {
-        row = row.intersect_with(holders[id]);
-        if (row.empty()) break;
+        const std::uint64_t* holder = holders.data() + id * words;
+        std::uint64_t any = 0;
+        for (std::size_t w = 0; w < words; ++w) {
+          row[w] &= holder[w];
+          any |= row[w];
+        }
+        if (any == 0) break;
       }
-      dominators.emplace_back(labels_, row.to_vector());
+      dominators.push_back(LabelSet::from_words(labels_, row));
     }
     return dominators;
   }
@@ -513,40 +522,15 @@ std::size_t merge_pass(WorkingSet& ws) {
 /// its smallest-indexed surviving dominator (a maximal one). Returns the
 /// labels dropped.
 ///
-/// `kernel` picks the predicate: `kGeneric` runs the original pair scan;
-/// everything else resolves to the narrowest `LabelMaskW` tier covering
-/// the alphabet (a forced tier acts as a floor). When no tier fits
-/// (> 512 labels) the pass falls back to the generic scan and says so
-/// through the `re.kernel_fallback` counter and a `re/kernel_fallback`
-/// event.
+/// `kernel` picks the predicate: `kGeneric` runs the original pair scan,
+/// `kMask` the holder-mask pass.
 std::size_t dominate_pass(WorkingSet& ws, ReKernel kernel) {
   const std::size_t n = ws.labels();
   if (n < 2 || n > 4096) return 0;  // quadratic pass: cap the size
 
-  std::size_t words = 0;
-  if (kernel != ReKernel::kGeneric) {
-    words = std::max(re_kernel::mask_tier_words(n),
-                     re_kernel::forced_tier_words(kernel));
-  }
-  const Dominators dominators = [&] {
-    switch (words) {
-      case 1:
-        return ws.dominators_masked<1>();
-      case 2:
-        return ws.dominators_masked<2>();
-      case 4:
-        return ws.dominators_masked<4>();
-      case 8:
-        return ws.dominators_masked<8>();
-      default:
-        if (kernel != ReKernel::kGeneric) {
-          LCL_OBS_COUNTER_ADD("re.kernel_fallback", 1);
-          LCL_OBS_EVENT1("re/kernel_fallback", "re", "labels",
-                         static_cast<std::int64_t>(n));
-        }
-        return ws.dominators_generic();
-    }
-  }();
+  const Dominators dominators = kernel == ReKernel::kGeneric
+                                    ? ws.dominators_generic()
+                                    : ws.dominators_mask();
 
   std::vector<char> kept(n, 1);
   for (Label a = 0; a < n; ++a) {

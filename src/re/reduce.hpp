@@ -84,23 +84,23 @@ struct Reduction {
 /// faithful sequence computable for a few extra steps. The ablation bench
 /// `bench_re_ablation` quantifies the difference.
 ///
-/// `kernel` selects how the domination predicate is evaluated: any mask
-/// kernel resolves to the narrowest `LabelMaskW` tier covering the alphabet
-/// and intersects per-feature label masks; `kGeneric` keeps the original
-/// pair scan over the configurations. Every choice computes the same
-/// relation, so every choice produces the same maps -
+/// `kernel` selects how the domination predicate is evaluated: `kMask`
+/// intersects per-feature holder masks of `ceil(n / 64)` words each, for
+/// every alphabet up to the pass's 4096-label cap; `kGeneric` keeps the
+/// original pair scan over the configurations as the reference. Both
+/// compute the same relation, so both produce the same maps -
 /// `test_re_kernel_parity`'s boundary battery fences that.
 ///
 /// Throws `std::runtime_error` when trimming leaves no usable label, or
 /// empties the node or edge constraint: the problem is then unsolvable on
 /// any graph with an edge.
 Reduction reduce(const NodeEdgeCheckableLcl& problem,
-                 ReKernel kernel = ReKernel::kAuto);
+                 ReKernel kernel = ReKernel::kMask);
 
 /// Composes an operator step with a label reduction: the reduced problem's
 /// label `l` means whatever the representative pre-reduction label meant.
 /// This is how the engine (and the fuzzer's differential oracles) keep the
 /// sequence computable while preserving the Lemma 3.9 lifting data.
-ReStep reduce_step(ReStep step, ReKernel kernel = ReKernel::kAuto);
+ReStep reduce_step(ReStep step, ReKernel kernel = ReKernel::kMask);
 
 }  // namespace lcl

@@ -31,39 +31,23 @@ class ReBlowupError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Which enumeration implementation the operators run on. Both produce
-/// constraint-identical problems (fenced by `test_re_kernel_parity`); they
-/// differ only in speed.
+/// Which implementation the operators and `reduce()` run on. Both produce
+/// constraint-identical problems and identical reduction maps (fenced by
+/// `test_re_kernel_parity`); they differ only in speed.
 enum class ReKernel {
-  /// Narrowest mask tier that fits the alphabet at hand: one word for the
-  /// operators' base alphabets (the alphabet guard rejects bases >= 63
-  /// before enumeration), and for the per-iterate passes (`reduce`'s
-  /// dominated-label elimination, whose alphabets are the operators'
-  /// 2^base - 1 sized outputs) the `LabelMaskW<W>` tier with
-  /// 64 * W >= labels - W in {1, 2, 4, 8}, so alphabets up to 512 labels
-  /// stay on mask kernels. Beyond 512 labels the pass falls back to the
-  /// generic path and says so: the `re.kernel_fallback` counter and a
-  /// `re/kernel_fallback` event record the (previously silent) slowdown.
-  kAuto,
-  /// The original ordered-container enumeration over `LabelSet`s - kept as
-  /// the ablation baseline (`bench_re_ablation`'s old-kernel columns) and
-  /// as the fallback for alphabets beyond the widest mask tier.
-  kGeneric,
-  /// Dense single-word `LabelMask` kernels: derived label `i` *is* the mask
-  /// `i + 1`, support tests are popcounts/ANDs, power sets are subset
-  /// walks, and node-configuration membership goes through a packed
-  /// canonical-form memo. Throws `std::invalid_argument` if the base
-  /// alphabet exceeds 64 labels (unreachable through the public operators).
+  /// Dense kernels, the default and the only path production runs. The
+  /// operators' fill is one 64-bit word per label set: derived label `i`
+  /// *is* the mask `i + 1` over the base labels (the alphabet guard rejects
+  /// bases of 63 or more labels before enumeration), support tests are
+  /// ANDs, power sets are subset walks, and node-configuration membership
+  /// goes through a packed canonical-form memo. `reduce()`'s domination
+  /// relation ANDs one `ceil(n / 64)`-word holder mask per label feature.
   kMask,
-  /// Forced multi-word tiers: the same kernels instantiated over
-  /// `LabelMaskW<2>`/`<4>`/`<8>` words. Functionally identical to `kMask`
-  /// on alphabets that fit fewer words (the upper words are zero) - that
-  /// redundancy is exactly what the parity battery exploits to fence the
-  /// word-seam arithmetic. `kAuto` picks these tiers on its own when an
-  /// iterate's alphabet genuinely needs them.
-  kMask2,
-  kMask4,
-  kMask8,
+  /// The original ordered-container enumeration over `LabelSet`s and the
+  /// pair scan over configurations in `reduce()` - kept as the reference
+  /// the parity battery and the ablation bench's ratio gates compare
+  /// against.
+  kGeneric,
 };
 
 /// Enumeration budgets (and kernel choice) for the operators.
@@ -72,10 +56,11 @@ struct ReLimits {
   std::size_t max_labels = 4096;
   /// Maximum number of candidate configurations examined per constraint.
   std::uint64_t max_configs = 4'000'000;
-  /// Implementation selector; rides along with the budgets so that every
-  /// caller threading `ReLimits` (engine, batch surveys, fuzz oracles)
-  /// picks the kernel up transparently.
-  ReKernel kernel = ReKernel::kAuto;
+  /// Implementation selector (`kGeneric` only for reference runs); rides
+  /// along with the budgets so that every caller threading `ReLimits`
+  /// (engine, batch surveys, fuzz oracles) picks the kernel up
+  /// transparently, `reduce()` included.
+  ReKernel kernel = ReKernel::kMask;
   /// Worker threads for the operators' outer configuration enumeration
   /// (node-constraint multiset walk and edge-constraint rows). 1 = run
   /// inline on the calling thread; N > 1 partitions the enumeration across

@@ -40,4 +40,18 @@ bool for_each_selection(
 /// Sorts a copy of `labels` ascending (canonical multiset form).
 std::vector<std::uint32_t> sorted_multiset(std::vector<std::uint32_t> labels);
 
+/// Invokes `visit(sub)` for every non-empty submask of `mask`, in strictly
+/// decreasing numeric order, via the classic subset walk
+/// `sub = (sub - 1) & mask` - `2^popcount(mask) - 1` visits, one subtract
+/// and one mask each. This is the power-set enumeration primitive of the
+/// round-elimination kernel: the derived alphabet of `R(Pi)` is exactly
+/// the non-empty submasks of the full base word, and `g`-compatible derived
+/// labels are exactly the non-empty submasks of `g_Pi(l)`.
+template <typename Visit>
+inline void for_each_nonempty_submask(std::uint64_t mask, Visit&& visit) {
+  for (std::uint64_t sub = mask; sub != 0; sub = (sub - 1) & mask) {
+    visit(sub);
+  }
+}
+
 }  // namespace lcl

@@ -49,6 +49,23 @@ LabelSet LabelSet::singleton(std::size_t universe, std::uint32_t label) {
   return s;
 }
 
+LabelSet LabelSet::from_words(std::size_t universe,
+                              std::span<const std::uint64_t> words) {
+  LabelSet s(universe);
+  if (words.size() != s.words_.size()) {
+    throw std::invalid_argument(
+        "LabelSet: " + std::to_string(words.size()) +
+        " words for a universe of size " + std::to_string(universe));
+  }
+  std::copy(words.begin(), words.end(), s.words_.begin());
+  const std::size_t rem = universe % kWordBits;
+  if (rem != 0 && (s.words_.back() >> rem) != 0) {
+    throw std::out_of_range("LabelSet: bits outside the universe of size " +
+                            std::to_string(universe));
+  }
+  return s;
+}
+
 std::size_t LabelSet::size() const noexcept {
   std::size_t count = 0;
   for (auto w : words_) count += static_cast<std::size_t>(std::popcount(w));

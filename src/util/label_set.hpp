@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,13 @@ class LabelSet {
 
   /// A singleton set `{label}` over `universe` labels.
   static LabelSet singleton(std::size_t universe, std::uint32_t label);
+
+  /// The set over `universe` labels whose raw storage is `words`, laid out
+  /// as `word()` describes. Throws `std::invalid_argument` unless
+  /// `words.size() == ceil(universe / 64)`, and `std::out_of_range` if a bit
+  /// at or past `universe` is set.
+  static LabelSet from_words(std::size_t universe,
+                             std::span<const std::uint64_t> words);
 
   std::size_t universe() const noexcept { return universe_; }
 
@@ -83,8 +91,8 @@ class LabelSet {
 
   /// Raw storage, least-significant word first: bit `b` of word `b / 64` is
   /// set iff label `b` is a member. `word_count() == ceil(universe / 64)`.
-  /// Exposed so the fixed-width mask tiers (`LabelMaskW`) and the batch
-  /// cache signature can convert / fold without per-label round trips.
+  /// Exposed so the operators' one-word mask kernel and the batch cache
+  /// signature read sets without per-label round trips.
   std::size_t word_count() const noexcept { return words_.size(); }
   std::uint64_t word(std::size_t i) const { return words_.at(i); }
 

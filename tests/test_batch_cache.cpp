@@ -77,6 +77,41 @@ TEST(ConstraintSignature, NameInsensitiveContentSensitive) {
             constraint_signature(problems::two_coloring(2)));
 }
 
+/// `labels` output labels and two inputs whose `g`-sets are non-trivial in
+/// every 64-label word: `p` grants every third label, `q` the upper half.
+NodeEdgeCheckableLcl signature_probe(std::size_t labels) {
+  std::vector<std::string> names;
+  for (std::size_t l = 0; l < labels; ++l) {
+    names.push_back("s" + std::to_string(l));
+  }
+  NodeEdgeCheckableLcl::Builder b("probe", Alphabet({"p", "q"}),
+                                  Alphabet(names), /*max_degree=*/1);
+  for (Label l = 0; l < labels; ++l) {
+    b.allow_node({l});
+    b.allow_edge(l, static_cast<Label>((l + 1) % labels));
+    if (l % 3 == 0) b.allow_output_for_input(0, l);
+    if (2 * l >= labels) b.allow_output_for_input(1, l);
+  }
+  return b.build();
+}
+
+TEST(ConstraintSignature, PinnedAcrossWordSeams) {
+  // On-disk cache tiers and `--shard=i/N` assignments are keyed by these
+  // values, so they must never move. The sizes bracket the 64- and
+  // 128-label word seams and the 512-label switch from folding `g` as raw
+  // words to folding it label by label.
+  const std::pair<std::size_t, std::uint64_t> pinned[] = {
+      {3, 0xb591336c1671d69eULL},   {64, 0xfeda7d63a5a426c2ULL},
+      {65, 0x54ab0e6719e15317ULL},  {128, 0x15e5cff8c28cbfb3ULL},
+      {129, 0x3037b7300f9dc562ULL}, {512, 0x1175f5bd517fe85dULL},
+      {513, 0xf3d2345e352cd045ULL},
+  };
+  for (const auto& [labels, signature] : pinned) {
+    EXPECT_EQ(constraint_signature(signature_probe(labels)), signature)
+        << labels << " labels";
+  }
+}
+
 TEST(BatchCache, StoresAndFindsByContent) {
   Cache cache;
   const auto mm = problems::maximal_matching(3);

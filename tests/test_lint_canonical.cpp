@@ -1,8 +1,8 @@
 // Tests for lint/canonical.hpp - the label-permutation canonicalization
 // tier: canonical forms and their evidence maps, automorphism detection
 // (orders, saturation, generating witnesses), permutation-invariant
-// signatures at small and LabelMaskW-tier alphabet sizes (96 and 512
-// labels), the analyzer's L050/L051/L052 surface, and the lcl_lint CLI's
+// signatures at small and multi-word alphabet sizes (96 and 512 labels),
+// the analyzer's L050/L051/L052 surface, and the lcl_lint CLI's
 // cross-file, SARIF, and --fix semantics.
 
 #include "lint/canonical.hpp"
@@ -212,7 +212,7 @@ TEST(Canonical, SaturatedAutomorphismOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Wide alphabets: the LabelMaskW tier (> 64 labels).
+// Wide alphabets: label sets of more than one word (> 64 labels).
 
 TEST(CanonicalWide, PermutedPairsAgreeAt96And512Labels) {
   for (const std::size_t k : {std::size_t{96}, std::size_t{512}}) {

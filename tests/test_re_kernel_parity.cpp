@@ -10,8 +10,6 @@
 #include "batch/cache.hpp"
 #include "core/lcl.hpp"
 #include "core/problems.hpp"
-#include "obs/exporter.hpp"
-#include "obs/obs.hpp"
 #include "re/kernel.hpp"
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
@@ -26,74 +24,33 @@ ReLimits with_kernel(ReKernel kernel) {
   return limits;
 }
 
-/// Metrics collection is off by default; the fallback-counter fences flip
-/// it on for their scope (and restore the previous state on exit).
-class MetricsOn {
- public:
-  MetricsOn() : previous_(obs::metrics_enabled()) {
-    obs::set_metrics_enabled(true);
-  }
-  ~MetricsOn() { obs::set_metrics_enabled(previous_); }
-
- private:
-  bool previous_;
-};
-
-/// Every mask tier the battery compares against the generic baseline. The
-/// wider tiers run the same fill with zero upper words on these bases -
-/// that redundancy is deliberate: a word-seam arithmetic slip shows up as a
-/// constraint difference here long before a 65+-label iterate hits it.
-const ReKernel kMaskTiers[] = {ReKernel::kMask, ReKernel::kMask2,
-                               ReKernel::kMask4, ReKernel::kAuto};
-
-const char* tier_name(ReKernel k) {
-  switch (k) {
-    case ReKernel::kAuto:
-      return "kAuto";
-    case ReKernel::kGeneric:
-      return "kGeneric";
-    case ReKernel::kMask:
-      return "kMask";
-    case ReKernel::kMask2:
-      return "kMask2";
-    case ReKernel::kMask4:
-      return "kMask4";
-    case ReKernel::kMask8:
-      return "kMask8";
-  }
-  return "?";
-}
-
-/// The parity fence of the kernel rewrite: on every battery problem, every
-/// mask tier and the original generic enumeration must build the *same*
-/// derived problem - same alphabet names in the same order, same
+/// The parity fence of the kernel rewrite: on every battery problem, the
+/// default mask kernel and the original generic enumeration must build the
+/// *same* derived problem - same alphabet names in the same order, same
 /// constraints, same g, same meanings - for both operators. Anything the
 /// engine, batch surveys, lint preflight, or fuzz oracles observe is
 /// downstream of these objects, so byte-identical verdicts follow.
 void expect_kernels_agree(const NodeEdgeCheckableLcl& pi) {
   for (const bool use_r : {true, false}) {
     const auto apply = use_r ? &apply_r : &apply_rbar;
+    SCOPED_TRACE(pi.name() + (use_r ? " / R" : " / Rbar"));
     const ReStep generic = apply(pi, with_kernel(ReKernel::kGeneric));
-    for (const ReKernel tier : kMaskTiers) {
-      const ReStep mask = apply(pi, with_kernel(tier));
-      SCOPED_TRACE(pi.name() + (use_r ? " / R / " : " / Rbar / ") +
-                   tier_name(tier));
+    const ReStep mask = apply(pi, ReLimits{});
 
-      ASSERT_EQ(generic.problem.output_alphabet().size(),
-                mask.problem.output_alphabet().size());
-      for (Label l = 0; l < generic.problem.output_alphabet().size(); ++l) {
-        ASSERT_EQ(generic.problem.output_alphabet().name(l),
-                  mask.problem.output_alphabet().name(l));
-      }
-      EXPECT_TRUE(same_constraints(generic.problem, mask.problem));
-      EXPECT_EQ(generic.problem.name(), mask.problem.name());
-      ASSERT_EQ(generic.meaning.size(), mask.meaning.size());
-      for (std::size_t i = 0; i < generic.meaning.size(); ++i) {
-        EXPECT_EQ(generic.meaning[i], mask.meaning[i]) << "meaning " << i;
-      }
-      EXPECT_EQ(batch::constraint_signature(generic.problem),
-                batch::constraint_signature(mask.problem));
+    ASSERT_EQ(generic.problem.output_alphabet().size(),
+              mask.problem.output_alphabet().size());
+    for (Label l = 0; l < generic.problem.output_alphabet().size(); ++l) {
+      ASSERT_EQ(generic.problem.output_alphabet().name(l),
+                mask.problem.output_alphabet().name(l));
     }
+    EXPECT_TRUE(same_constraints(generic.problem, mask.problem));
+    EXPECT_EQ(generic.problem.name(), mask.problem.name());
+    ASSERT_EQ(generic.meaning.size(), mask.meaning.size());
+    for (std::size_t i = 0; i < generic.meaning.size(); ++i) {
+      EXPECT_EQ(generic.meaning[i], mask.meaning[i]) << "meaning " << i;
+    }
+    EXPECT_EQ(batch::constraint_signature(generic.problem),
+              batch::constraint_signature(mask.problem));
   }
 }
 
@@ -121,10 +78,31 @@ TEST(ReKernelParity, HoldsOnReducedFirstIterates) {
   }
 }
 
+// A one-label problem whose only node configuration has degree `degree`:
+// every derived multiset is that one label repeated, so the generic
+// kernel's backtracking stays trivial at any degree.
+NodeEdgeCheckableLcl one_label_at_degree(int degree) {
+  NodeEdgeCheckableLcl::Builder b("one-label-d" + std::to_string(degree),
+                                  Alphabet({"-"}), Alphabet({"x"}), degree);
+  b.allow_node(std::vector<Label>(static_cast<std::size_t>(degree), 0));
+  b.allow_edge(0, 0);
+  b.unrestricted_inputs();
+  return b.build();
+}
+
+TEST(ReKernelParity, HighDegreesAgreeWithGeneric) {
+  // The mask kernel's slot matching must track any number of slots:
+  // 32/33 and 64/65 bracket the degrees a 32- or 64-bit slot mask would
+  // overflow.
+  for (const int degree : {32, 33, 64, 65}) {
+    expect_kernels_agree(one_label_at_degree(degree));
+  }
+}
+
 TEST(ReKernelParity, BlowupErrorsMatchAcrossKernels) {
   // 13 output labels -> 2^13 - 1 = 8191 derived labels > max_labels = 4096:
-  // every kernel must refuse identically (the guard runs pre-dispatch), so
-  // ReLimits blow-up diagnostics never depend on the tier in use.
+  // both kernels must refuse identically (the guard runs pre-dispatch), so
+  // ReLimits blow-up diagnostics never depend on the kernel in use.
   const auto big = problems::coloring(13, 2);
   std::string generic_message;
   try {
@@ -134,17 +112,14 @@ TEST(ReKernelParity, BlowupErrorsMatchAcrossKernels) {
     generic_message = e.what();
   }
   EXPECT_FALSE(generic_message.empty());
-  for (const ReKernel tier : kMaskTiers) {
-    SCOPED_TRACE(tier_name(tier));
-    std::string mask_message;
-    try {
-      apply_r(big, with_kernel(tier));
-      FAIL() << "expected ReBlowupError";
-    } catch (const ReBlowupError& e) {
-      mask_message = e.what();
-    }
-    EXPECT_EQ(generic_message, mask_message);
+  std::string mask_message;
+  try {
+    apply_r(big);
+    FAIL() << "expected ReBlowupError";
+  } catch (const ReBlowupError& e) {
+    mask_message = e.what();
   }
+  EXPECT_EQ(generic_message, mask_message);
 }
 
 TEST(ReKernelParity, ConfigBlowupErrorsMatchAcrossKernels) {
@@ -161,69 +136,55 @@ TEST(ReKernelParity, ConfigBlowupErrorsMatchAcrossKernels) {
   }
   EXPECT_NE(generic_message.find("candidate configurations"),
             std::string::npos);
-  for (const ReKernel tier : kMaskTiers) {
-    SCOPED_TRACE(tier_name(tier));
-    std::string mask_message;
-    try {
-      apply_rbar(big, with_kernel(tier));
-      FAIL() << "expected ReBlowupError";
-    } catch (const ReBlowupError& e) {
-      mask_message = e.what();
-    }
-    EXPECT_EQ(generic_message, mask_message);
+  std::string mask_message;
+  try {
+    apply_rbar(big);
+    FAIL() << "expected ReBlowupError";
+  } catch (const ReBlowupError& e) {
+    mask_message = e.what();
   }
+  EXPECT_EQ(generic_message, mask_message);
 }
 
-/// Reduction parity on a wide-alphabet problem: every kernel choice must
-/// drop/merge exactly the same labels in the same order - the maps record
-/// the full history, so comparing them fences the scan order, not just the
-/// fixed point.
+/// Reduction parity: both kernels must drop/merge exactly the same labels
+/// in the same order - the maps record the full history, so comparing them
+/// fences the scan order, not just the fixed point.
 void expect_reduce_parity(const NodeEdgeCheckableLcl& p) {
+  SCOPED_TRACE(p.name());
   const Reduction generic = reduce(p, ReKernel::kGeneric);
-  for (const ReKernel tier : kMaskTiers) {
-    SCOPED_TRACE(p.name() + " / " + tier_name(tier));
-    const Reduction masked = reduce(p, tier);
-    EXPECT_TRUE(same_constraints(generic.problem, masked.problem));
-    ASSERT_EQ(generic.problem.output_alphabet().size(),
-              masked.problem.output_alphabet().size());
-    for (Label l = 0; l < generic.problem.output_alphabet().size(); ++l) {
-      EXPECT_EQ(generic.problem.output_alphabet().name(l),
-                masked.problem.output_alphabet().name(l));
-    }
-    EXPECT_EQ(generic.old_to_new, masked.old_to_new);
-    EXPECT_EQ(generic.new_to_old, masked.new_to_old);
+  const Reduction masked = reduce(p);
+  EXPECT_TRUE(same_constraints(generic.problem, masked.problem));
+  ASSERT_EQ(generic.problem.output_alphabet().size(),
+            masked.problem.output_alphabet().size());
+  for (Label l = 0; l < generic.problem.output_alphabet().size(); ++l) {
+    EXPECT_EQ(generic.problem.output_alphabet().name(l),
+              masked.problem.output_alphabet().name(l));
   }
+  EXPECT_EQ(generic.old_to_new, masked.old_to_new);
+  EXPECT_EQ(generic.new_to_old, masked.new_to_old);
 }
 
 TEST(ReKernelParity, ReduceAgreesOnWordBoundaryAlphabets) {
   // threshold_band keeps the dominated-label pass firing across the whole
   // alphabet, so reducing a 65..129-label instance walks the pass through
-  // every intermediate size - every mask tier transition included. The
-  // sizes bracket both word seams of the 1->2 and 2->4 tier boundaries.
+  // every intermediate size, and with it the holder masks through one,
+  // two and three words. The sizes bracket the 64- and 128-label seams.
   for (const int labels : {63, 64, 65, 127, 128, 129}) {
     expect_reduce_parity(problems::threshold_band(labels, 8));
   }
 }
 
 TEST(ReKernelParity, WideIterateStaysOnMaskTiersUnderAuto) {
-  // The acceptance case of the multi-word lift: a 7-label base derives a
-  // 2^7 - 1 = 127-label iterate; reducing it under kAuto must run entirely
-  // on mask tiers (no re.kernel_fallback increment) and agree with the
-  // generic scan byte for byte. Degree 1 keeps the (many) dominated-label
-  // cascades cheap while still walking the pass through every alphabet
-  // size from 127 down across the 64-label seam.
+  // A 7-label base derives a 2^7 - 1 = 127-label iterate; reducing it under
+  // the default mask kernel must agree with the generic scan byte for byte.
+  // Degree 1 keeps the (many) dominated-label cascades cheap while still
+  // walking the pass through every alphabet size from 127 down across the
+  // 64-label seam.
   const auto base = problems::coloring(7, 1);
-  ReStep step = apply_r(base, with_kernel(ReKernel::kAuto));
+  ReStep step = apply_r(base);
   ASSERT_EQ(step.problem.output_alphabet().size(), 127u);
 
-  const MetricsOn metrics;
-  const std::uint64_t fallbacks_before =
-      obs::registry().counter("re.kernel_fallback").value();
-  const Reduction masked = reduce(step.problem, ReKernel::kAuto);
-  EXPECT_EQ(obs::registry().counter("re.kernel_fallback").value(),
-            fallbacks_before)
-      << "a 127-label iterate must fit the 2-word tier, not fall back";
-
+  const Reduction masked = reduce(step.problem);
   const Reduction generic = reduce(step.problem, ReKernel::kGeneric);
   EXPECT_TRUE(same_constraints(generic.problem, masked.problem));
   EXPECT_EQ(generic.old_to_new, masked.old_to_new);
@@ -232,47 +193,36 @@ TEST(ReKernelParity, WideIterateStaysOnMaskTiersUnderAuto) {
             batch::constraint_signature(masked.problem));
 }
 
-TEST(ReKernelParity, KernelFallbackPastWidestTierIsCountedAndSound) {
-  // 516 labels > the widest (8-word, 512-label) tier: the dominated pass
-  // must fall back to the generic scan, say so through re.kernel_fallback,
-  // and still produce the generic result. Degree-1 band problem so the
-  // cascade of drops stays cheap.
-  constexpr int kLabels = 516;
-  NodeEdgeCheckableLcl::Builder b("wide-band", Alphabet({"-"}),
-                                  [] {
-                                    Alphabet out;
-                                    for (int l = 0; l < kLabels; ++l) {
-                                      std::ostringstream os;
-                                      os << 'w' << l;
-                                      out.add(os.str());
-                                    }
-                                    return out;
-                                  }(),
+/// A degree-1 band of `labels` labels: each label's edge partners are the
+/// next eight labels, so the dominated-label pass keeps firing as the
+/// alphabet shrinks.
+NodeEdgeCheckableLcl wide_band(int labels) {
+  Alphabet out;
+  for (int l = 0; l < labels; ++l) {
+    std::ostringstream os;
+    os << 'w' << l;
+    out.add(os.str());
+  }
+  NodeEdgeCheckableLcl::Builder b("wide-band-" + std::to_string(labels),
+                                  Alphabet({"-"}), std::move(out),
                                   /*max_degree=*/1);
-  for (Label l = 0; l < kLabels; ++l) {
+  const auto n = static_cast<Label>(labels);
+  for (Label l = 0; l < n; ++l) {
     b.allow_node({l});
-    for (Label p = l; p < std::min<Label>(kLabels, l + 9); ++p) {
-      b.allow_edge(l, p);
-    }
+    for (Label p = l; p < std::min<Label>(n, l + 9); ++p) b.allow_edge(l, p);
   }
   b.unrestricted_inputs();
-  const auto wide = b.build();
+  return b.build();
+}
 
-  const MetricsOn metrics;
-  const std::uint64_t fallbacks_before =
-      obs::registry().counter("re.kernel_fallback").value();
-  const Reduction masked = reduce(wide, ReKernel::kAuto);
-  if (obs::telemetry_compiled_in()) {  // counters are no-ops under LCL_OBS=0
-    EXPECT_GT(obs::registry().counter("re.kernel_fallback").value(),
-              fallbacks_before)
-        << "a 516-label alphabet outgrows every mask tier - the generic "
-           "fallback must be recorded, not silent";
+TEST(ReKernelParity, KernelFallbackPastWidestTierIsCountedAndSound) {
+  // Named for the generic fallback that once took over past 512 labels.
+  // The sizes are the seams where the mask width used to change (256 and
+  // 512 labels) and where that fallback began; the runtime-width pass must
+  // match the pair scan on each.
+  for (const int labels : {255, 256, 257, 511, 512, 513, 516}) {
+    expect_reduce_parity(wide_band(labels));
   }
-
-  const Reduction generic = reduce(wide, ReKernel::kGeneric);
-  EXPECT_TRUE(same_constraints(generic.problem, masked.problem));
-  EXPECT_EQ(generic.old_to_new, masked.old_to_new);
-  EXPECT_EQ(generic.new_to_old, masked.new_to_old);
 }
 
 TEST(ReKernelParity, ParallelEnumerationIsDeterministic) {

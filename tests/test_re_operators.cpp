@@ -321,7 +321,7 @@ TEST(Reduce, DegreesPastOneWordKeepLabelVectors) {
   }
   b.unrestricted_inputs();
   const auto problem = b.build();
-  for (const ReKernel kernel : {ReKernel::kGeneric, ReKernel::kAuto}) {
+  for (const ReKernel kernel : {ReKernel::kGeneric, ReKernel::kMask}) {
     const auto red = reduce(problem, kernel);
     EXPECT_EQ(red.old_to_new,
               (std::vector<Label>{0, 0, 0, 0, Reduction::kDropped}));

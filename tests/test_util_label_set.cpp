@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 namespace lcl {
 namespace {
@@ -104,6 +107,27 @@ TEST(LabelSet, ToStringWithNamer) {
     return std::string(1, static_cast<char>('A' + l));
   }),
             "{A,C}");
+}
+
+// from_words is the inverse of word(): the raw storage round-trips across
+// the word seams, and it refuses a wrong word count or a bit outside the
+// universe.
+TEST(LabelSet, FromWordsRoundTripsRawStorage) {
+  for (const std::size_t universe : {1u, 63u, 64u, 65u, 128u, 129u}) {
+    LabelSet set(universe);
+    for (std::uint32_t l = 0; l < universe; l += 7) set.insert(l);
+    set.insert(static_cast<std::uint32_t>(universe - 1));
+    std::vector<std::uint64_t> words;
+    for (std::size_t w = 0; w < set.word_count(); ++w) {
+      words.push_back(set.word(w));
+    }
+    EXPECT_EQ(LabelSet::from_words(universe, words), set) << universe;
+  }
+  const std::uint64_t five = 0b101;
+  EXPECT_EQ(LabelSet::from_words(3, {&five, 1}), (LabelSet{3, {0, 2}}));
+  EXPECT_THROW(LabelSet::from_words(2, {&five, 1}), std::out_of_range);
+  EXPECT_THROW(LabelSet::from_words(65, {&five, 1}), std::invalid_argument);
+  EXPECT_EQ(LabelSet::from_words(0, {}), LabelSet());
 }
 
 TEST(AllNonemptySubsets, CountAndContents) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "util/combinatorics.hpp"
 #include "util/rng.hpp"
 
@@ -175,6 +180,30 @@ TEST(ForEachSelection, EmptyListHasOneEmptyTuple) {
     return false;
   });
   EXPECT_EQ(visits, 1);
+}
+
+// The subset walk must visit exactly the 2^popcount(mask) - 1 non-empty
+// submasks, each once, in strictly decreasing order. The k=6 full word is
+// the 2^6 - 1 boundary named in the kernel docs.
+TEST(ForEachNonemptySubmask, VisitsEveryNonemptySubmaskOnce) {
+  const std::uint64_t masks[] = {0b111111, 0b101101, 0b1, 0b100000, 0};
+  for (const std::uint64_t mask : masks) {
+    std::vector<std::uint64_t> visited;
+    for_each_nonempty_submask(mask, [&](std::uint64_t sub) {
+      visited.push_back(sub);
+    });
+    const int bits = std::popcount(mask);
+    ASSERT_EQ(visited.size(), (std::uint64_t{1} << bits) - 1) << mask;
+    std::set<std::uint64_t> unique(visited.begin(), visited.end());
+    ASSERT_EQ(unique.size(), visited.size());
+    for (std::size_t i = 0; i + 1 < visited.size(); ++i) {
+      ASSERT_GT(visited[i], visited[i + 1]);  // strictly decreasing
+    }
+    for (const std::uint64_t sub : visited) {
+      ASSERT_NE(sub, 0u);
+      ASSERT_EQ(sub & ~mask, 0u);  // genuinely a submask
+    }
+  }
 }
 
 }  // namespace
