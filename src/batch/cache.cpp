@@ -159,6 +159,17 @@ void Cache::load_disk_locked() {
     // deliberate test overrides).
     entry.signature = options_.signature(entry.problem);
     entry.value = *value;
+    // A derived problem is rebuilt once here and served as an object.
+    if (const auto* next = value->find("next");
+        next != nullptr && next->is_object()) {
+      try {
+        entry.next = lint::build_spec(lint::spec_from_json_value(*next));
+      } catch (const std::exception&) {
+        ++stats_.disk_skipped;
+        continue;
+      }
+      entry.value.object().erase("next");
+    }
     if (const auto* canon = record->find("canon");
         canon != nullptr && canon->is_bool()) {
       entry.canonical_eligible = canon->as_bool();
@@ -182,6 +193,10 @@ void Cache::append_disk_locked(const Entry& entry) {
   record.object()["problem"] =
       lint::spec_to_json_value(lint::spec_from_problem(entry.problem));
   record.object()["value"] = entry.value;
+  if (entry.next) {
+    record.object()["value"].object()["next"] =
+        lint::spec_to_json_value(lint::spec_from_problem(*entry.next));
+  }
   if (!entry.canonical_eligible) {
     record.object()["canon"] = obs::json::Value(false);
   }
@@ -243,11 +258,11 @@ void Cache::insert_memory_locked(Entry entry) {
   }
 }
 
-std::optional<obs::json::Value> Cache::find_exact_locked(
+const Cache::Entry* Cache::find_exact_locked(
     const std::string& kind, const NodeEdgeCheckableLcl& problem,
     std::uint64_t sig) {
   const auto bucket = index_.find(IndexKey{kind, sig});
-  if (bucket == index_.end()) return std::nullopt;
+  if (bucket == index_.end()) return nullptr;
   for (const auto& it : bucket->second) {
     // Collision-safe exact confirmation: the signature narrows the
     // candidates, `same_constraints` decides.
@@ -255,20 +270,34 @@ std::optional<obs::json::Value> Cache::find_exact_locked(
       lru_.splice(lru_.begin(), lru_, it);  // touch for LRU
       ++stats_.hits;
       LCL_OBS_COUNTER_ADD("cache.hits", 1);
-      return it->value;
+      return &*it;
     }
     ++stats_.collisions;
     LCL_OBS_COUNTER_ADD("cache.collisions", 1);
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::optional<obs::json::Value> Cache::find(
     std::string_view kind, const NodeEdgeCheckableLcl& problem) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto exact = find_exact_locked(std::string(kind), problem,
-                                 options_.signature(problem));
-  if (exact.has_value()) return exact;
+  if (const Entry* hit = find_exact_locked(std::string(kind), problem,
+                                           options_.signature(problem))) {
+    return hit->value;
+  }
+  ++stats_.misses;
+  LCL_OBS_COUNTER_ADD("cache.misses", 1);
+  return std::nullopt;
+}
+
+std::optional<Cache::DerivedHit> Cache::find_derived(
+    std::string_view kind, const NodeEdgeCheckableLcl& problem) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const Entry* hit = find_exact_locked(std::string(kind), problem,
+                                           options_.signature(problem))) {
+    if (!hit->next) return std::nullopt;
+    return DerivedHit{hit->value, *hit->next};
+  }
   ++stats_.misses;
   LCL_OBS_COUNTER_ADD("cache.misses", 1);
   return std::nullopt;
@@ -280,11 +309,10 @@ std::optional<Cache::CanonicalHit> Cache::find_canonical(
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string kind_str(kind);
   const std::size_t k = problem.output_alphabet().size();
-  auto exact = find_exact_locked(kind_str, problem,
-                                 options_.signature(problem));
-  if (exact.has_value()) {
+  if (const Entry* exact =
+          find_exact_locked(kind_str, problem, options_.signature(problem))) {
     CanonicalHit hit;
-    hit.value = std::move(*exact);
+    hit.value = exact->value;
     hit.old_to_new.resize(k);
     std::iota(hit.old_to_new.begin(), hit.old_to_new.end(), Label{0});
     return hit;
@@ -340,13 +368,30 @@ std::optional<Cache::CanonicalHit> Cache::find_canonical(
 void Cache::insert(std::string_view kind, const NodeEdgeCheckableLcl& problem,
                    const obs::json::Value& value,
                    const lint::CanonicalForm* form, bool index_canonical) {
-  std::lock_guard<std::mutex> lock(mutex_);
   Entry entry;
   entry.kind = std::string(kind);
-  entry.signature = options_.signature(problem);
   entry.problem = problem;
   entry.value = value;
   entry.canonical_eligible = index_canonical;
+  insert_entry(std::move(entry), form);
+}
+
+void Cache::insert_derived(std::string_view kind,
+                           const NodeEdgeCheckableLcl& problem,
+                           const NodeEdgeCheckableLcl& next,
+                           const obs::json::Value& value) {
+  Entry entry;
+  entry.kind = std::string(kind);
+  entry.problem = problem;
+  entry.value = value;
+  entry.next = next;
+  entry.canonical_eligible = false;
+  insert_entry(std::move(entry), nullptr);
+}
+
+void Cache::insert_entry(Entry entry, const lint::CanonicalForm* form) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  entry.signature = options_.signature(entry.problem);
   if (contains_confirmed_locked(entry)) return;  // duplicate: keep the file flat
   fill_canonical_fields(entry, form);
   ++stats_.insertions;

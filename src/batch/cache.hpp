@@ -58,17 +58,22 @@ struct CacheStats {
 /// addressed by `constraint_signature`, and a hit is only served after the
 /// stored problem is confirmed via `same_constraints` - a signature
 /// collision therefore costs one extra comparison, never a wrong answer.
+/// An entry may also hold a problem derived from its key (the survey's
+/// "step:" entries hold the next reduced iterate; see `insert_derived`).
 ///
 /// Two tiers:
 ///  - in-memory LRU (bounded by `Options::capacity`; eviction drops the
-///    entry from the lookup index);
+///    entry from the lookup index). Problems stay built objects here, so a
+///    stored or served problem shares its constraint tables with the
+///    caller's copy;
 ///  - optional append-only JSONL file (`Options::disk_path`) in the
 ///    fuzz/lint spec-JSON dialect: one self-contained record per line,
-///    `{"kind":.., "sig":.., "problem": <spec>, "value": ..}`. Every insert
-///    is appended and flushed, so a killed survey loses at most a torn
-///    trailing line; reopening with `load_existing` replays the file (the
-///    `--resume` path). Signatures are recomputed from the stored problem
-///    on load, so the file survives signature-function changes.
+///    `{"kind":.., "sig":.., "problem": <spec>, "value": ..}`, where a
+///    derived problem is the value's "next" field. Every insert is appended
+///    and flushed, so a killed survey loses at most a torn trailing line;
+///    reopening with `load_existing` replays the file (the `--resume`
+///    path). Signatures are recomputed from the stored problem on load, so
+///    the file survives signature-function changes.
 ///
 /// All operations are thread-safe; one cache is shared across pool workers.
 class Cache {
@@ -162,6 +167,29 @@ class Cache {
               const lint::CanonicalForm* form = nullptr,
               bool index_canonical = true);
 
+  /// A `find_derived` hit: the stored value and the derived problem.
+  struct DerivedHit {
+    obs::json::Value value;
+    NodeEdgeCheckableLcl next;
+  };
+
+  /// `insert` for a value that comes with a problem derived from `problem`
+  /// (exact tier only, like `index_canonical = false`). The memory tier
+  /// keeps `next` as the object it is; only a disk append renders it, as
+  /// spec JSON in the record's `value["next"]`, and only a disk load parses
+  /// it back. `value` must be an object without a "next" field.
+  void insert_derived(std::string_view kind,
+                      const NodeEdgeCheckableLcl& problem,
+                      const NodeEdgeCheckableLcl& next,
+                      const obs::json::Value& value);
+
+  /// `find` for entries stored by `insert_derived` (or loaded from a record
+  /// whose value has an object "next"): the value and a copy of the derived
+  /// problem, which shares the stored one's tables and keeps its names.
+  /// nullopt on a miss, and for an entry that holds no derived problem.
+  std::optional<DerivedHit> find_derived(std::string_view kind,
+                                         const NodeEdgeCheckableLcl& problem);
+
   CacheStats stats() const;
   std::size_t size() const;
 
@@ -176,6 +204,9 @@ class Cache {
     std::uint64_t signature = 0;
     NodeEdgeCheckableLcl problem;  // kept built for exact confirmation
     obs::json::Value value;
+    /// The derived problem of an `insert_derived` entry, written to disk as
+    /// `value["next"]`.
+    std::optional<NodeEdgeCheckableLcl> next;
     /// False for kinds whose payloads are not label-invariant (persisted to
     /// disk as "canon" so replay skips their orbit search too).
     bool canonical_eligible = true;
@@ -208,11 +239,14 @@ class Cache {
   /// Fills the entry's canonical key fields when the tier is on (reusing
   /// `form` when the caller supplied one).
   void fill_canonical_fields(Entry& entry, const lint::CanonicalForm* form);
-  /// Exact-tier probe without touching hit/miss counters; used by both
-  /// `find` and `find_canonical`.
-  std::optional<obs::json::Value> find_exact_locked(
-      const std::string& kind, const NodeEdgeCheckableLcl& problem,
-      std::uint64_t sig);
+  /// Exact-tier probe: the confirmed entry (touched for LRU, counted as a
+  /// hit) or nullptr, without counting a miss; used by `find`,
+  /// `find_derived` and `find_canonical`.
+  const Entry* find_exact_locked(const std::string& kind,
+                                 const NodeEdgeCheckableLcl& problem,
+                                 std::uint64_t sig);
+  /// The shared body of `insert` and `insert_derived`.
+  void insert_entry(Entry entry, const lint::CanonicalForm* form);
 
   mutable std::mutex mutex_;
   Options options_;

@@ -70,7 +70,9 @@ void cache_put(Cache* cache, const std::string& kind,
 /// `SpeedupEngine`'s memo over the cache: reduced iterates under "step:"
 /// and 0-round verdicts under "zr:", both on the exact tier only. A stored
 /// iterate lives in the stored problem's label space, which a canonical hit
-/// would permute; and an exact lookup costs no orbit search. With
+/// would permute; and an exact lookup costs no orbit search. Iterates are
+/// stored as derived problems, so a hit hands back the stored object
+/// (sharing its tables) and JSON is written only for a disk tier. With
 /// `verdicts` off it leaves 0-round verdicts uncached: the classifiers'
 /// degree-{2} and {1,2} verdicts would grow the cache more than they save.
 class CacheMemo final : public SpeedupEngine::Memo {
@@ -87,24 +89,20 @@ class CacheMemo final : public SpeedupEngine::Memo {
         std::string("step:") + (options.reduce ? "r" : "f") + ":l" +
         std::to_string(options.limits.max_labels) + ":c" +
         std::to_string(options.limits.max_configs);
-    if (const auto hit = cache_.find(kind, current)) {
-      if (const auto* next = hit->find("next"); next != nullptr) {
-        // Tiers written before "psi_labels" was stored serve 0.
-        Step step{lint::build_spec(lint::spec_from_json_value(*next)), 0};
-        if (const auto* psi = hit->find("psi_labels");
-            psi != nullptr && psi->is_number()) {
-          step.labels_psi = static_cast<std::size_t>(psi->as_int());
-        }
-        return step;
+    if (auto hit = cache_.find_derived(kind, current)) {
+      // Tiers written before "psi_labels" was stored serve 0.
+      Step step{std::move(hit->next), 0};
+      if (const auto* psi = hit->value.find("psi_labels");
+          psi != nullptr && psi->is_number()) {
+        step.labels_psi = static_cast<std::size_t>(psi->as_int());
       }
+      return step;
     }
     Step step = compute();
     json::Value value = json::Value::make_object();
-    value.object()["next"] =
-        lint::spec_to_json_value(lint::spec_from_problem(step.next));
     value.object()["psi_labels"] =
         json::Value(static_cast<std::int64_t>(step.labels_psi));
-    cache_.insert(kind, current, value, nullptr, /*index_canonical=*/false);
+    cache_.insert_derived(kind, current, step.next, value);
     return step;
   }
 

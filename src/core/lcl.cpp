@@ -1,69 +1,84 @@
 #include "core/lcl.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 namespace lcl {
 
+const NodeEdgeCheckableLcl::Tables&
+NodeEdgeCheckableLcl::no_tables() noexcept {
+  static const Tables empty;
+  return empty;
+}
+
 bool NodeEdgeCheckableLcl::node_allows(const Configuration& config) const {
-  const auto degree = static_cast<int>(config.size());
-  if (degree < 0 || degree > max_degree_) return false;
-  return node_[static_cast<std::size_t>(degree)].count(config) != 0;
+  const auto& node = tables().node;
+  if (config.size() >= node.size()) return false;
+  const auto& configs = node[config.size()];
+  return std::binary_search(configs.begin(), configs.end(), config);
 }
 
 bool NodeEdgeCheckableLcl::edge_allows(Label a, Label b) const {
-  if (a >= edge_partners_.size() || b >= edge_partners_.size()) return false;
-  return edge_partners_[a].contains(b);
+  const auto& partners = tables().edge_partners;
+  if (a >= partners.size() || b >= partners.size()) return false;
+  return partners[a].contains(b);
 }
 
 const LabelSet& NodeEdgeCheckableLcl::edge_partners(Label a) const {
-  if (a >= edge_partners_.size()) {
+  const auto& partners = tables().edge_partners;
+  if (a >= partners.size()) {
     throw std::out_of_range("NodeEdgeCheckableLcl::edge_partners: label " +
                             std::to_string(a) + " out of range");
   }
-  return edge_partners_[a];
+  return partners[a];
 }
 
 const LabelSet& NodeEdgeCheckableLcl::allowed_outputs(Label input) const {
-  if (input >= g_.size()) {
+  const auto& g = tables().g;
+  if (input >= g.size()) {
     throw std::out_of_range("NodeEdgeCheckableLcl::allowed_outputs: input " +
                             std::to_string(input) + " out of range");
   }
-  return g_[input];
+  return g[input];
 }
 
-const std::set<Configuration>& NodeEdgeCheckableLcl::node_configs(
+const std::vector<Configuration>& NodeEdgeCheckableLcl::node_configs(
     int degree) const {
-  if (degree < 0 || degree > max_degree_) return empty_;
-  return node_[static_cast<std::size_t>(degree)];
+  static const std::vector<Configuration> kNone;
+  const auto& node = tables().node;
+  if (degree < 0 || static_cast<std::size_t>(degree) >= node.size()) {
+    return kNone;
+  }
+  return node[static_cast<std::size_t>(degree)];
 }
 
 std::size_t NodeEdgeCheckableLcl::total_node_configs() const noexcept {
   std::size_t total = 0;
-  for (const auto& per_degree : node_) total += per_degree.size();
+  for (const auto& per_degree : tables().node) total += per_degree.size();
   return total;
 }
 
 std::string NodeEdgeCheckableLcl::to_string() const {
+  const Tables& t = tables();
   std::ostringstream os;
-  os << "LCL '" << name_ << "' (Delta = " << max_degree_ << ")\n";
-  os << "  Sigma_in  (" << input_.size() << "):";
-  for (Label l = 0; l < input_.size(); ++l) os << ' ' << input_.name(l);
-  os << "\n  Sigma_out (" << output_.size() << "):";
-  for (Label l = 0; l < output_.size(); ++l) os << ' ' << output_.name(l);
+  os << "LCL '" << name_ << "' (Delta = " << t.max_degree << ")\n";
+  os << "  Sigma_in  (" << t.input.size() << "):";
+  for (Label l = 0; l < t.input.size(); ++l) os << ' ' << t.input.name(l);
+  os << "\n  Sigma_out (" << t.output.size() << "):";
+  for (Label l = 0; l < t.output.size(); ++l) os << ' ' << t.output.name(l);
   os << "\n  node configurations:\n";
-  for (int d = 0; d <= max_degree_; ++d) {
-    for (const auto& c : node_configs(d)) {
-      os << "    " << c.to_string(output_) << '\n';
+  for (const auto& per_degree : t.node) {
+    for (const auto& c : per_degree) {
+      os << "    " << c.to_string(t.output) << '\n';
     }
   }
   os << "  edge configurations:\n";
-  for (const auto& c : edge_) os << "    " << c.to_string(output_) << '\n';
+  for (const auto& c : t.edge) os << "    " << c.to_string(t.output) << '\n';
   os << "  g (input -> allowed outputs):\n";
-  for (Label l = 0; l < input_.size(); ++l) {
-    os << "    " << input_.name(l) << " -> "
-       << g_[l].to_string(
-              [this](std::uint32_t o) { return output_.name(o); })
+  for (Label l = 0; l < t.input.size(); ++l) {
+    os << "    " << t.input.name(l) << " -> "
+       << t.g[l].to_string([&t](std::uint32_t o) { return t.output.name(o); })
        << '\n';
   }
   return os.str();
@@ -71,6 +86,7 @@ std::string NodeEdgeCheckableLcl::to_string() const {
 
 bool same_constraints(const NodeEdgeCheckableLcl& a,
                       const NodeEdgeCheckableLcl& b) {
+  if (a.tables_ == b.tables_) return true;
   if (a.input_alphabet().size() != b.input_alphabet().size() ||
       a.output_alphabet().size() != b.output_alphabet().size() ||
       a.max_degree() != b.max_degree()) {
@@ -224,26 +240,25 @@ NodeEdgeCheckableLcl::Builder::Builder(std::string name, Alphabet input,
         "Builder: input alphabet must be non-empty (use a single dummy label "
         "for problems without inputs)");
   }
-  problem_.name_ = std::move(name);
-  problem_.input_ = std::move(input);
-  problem_.output_ = std::move(output);
-  problem_.max_degree_ = max_degree;
-  problem_.node_.resize(static_cast<std::size_t>(max_degree) + 1);
-  problem_.edge_partners_.assign(problem_.output_.size(),
-                                 LabelSet(problem_.output_.size()));
-  problem_.g_.assign(problem_.input_.size(),
-                     LabelSet(problem_.output_.size()));
+  name_ = std::move(name);
+  tables_.input = std::move(input);
+  tables_.output = std::move(output);
+  tables_.max_degree = max_degree;
+  tables_.node.resize(static_cast<std::size_t>(max_degree) + 1);
+  tables_.edge_partners.assign(tables_.output.size(),
+                               LabelSet(tables_.output.size()));
+  tables_.g.assign(tables_.input.size(), LabelSet(tables_.output.size()));
 }
 
 void NodeEdgeCheckableLcl::Builder::check_output_label(Label l) const {
-  if (l >= problem_.output_.size()) {
+  if (l >= tables_.output.size()) {
     throw std::out_of_range("Builder: output label " + std::to_string(l) +
                             " out of range");
   }
 }
 
 void NodeEdgeCheckableLcl::Builder::check_input_label(Label l) const {
-  if (l >= problem_.input_.size()) {
+  if (l >= tables_.input.size()) {
     throw std::out_of_range("Builder: input label " + std::to_string(l) +
                             " out of range");
   }
@@ -251,27 +266,18 @@ void NodeEdgeCheckableLcl::Builder::check_input_label(Label l) const {
 
 NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_node(
     const std::vector<Label>& labels) {
-  if (labels.empty() ||
-      labels.size() > static_cast<std::size_t>(problem_.max_degree_)) {
-    throw std::invalid_argument(
-        "Builder::allow_node: configuration size must be in [1, max_degree]");
-  }
-  for (auto l : labels) check_output_label(l);
-  auto& bucket = problem_.node_[labels.size()];
-  bucket.insert(bucket.end(), Configuration(labels));
-  return *this;
+  return allow_node(std::vector<Label>(labels));
 }
 
 NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_node(
     std::vector<Label>&& labels) {
   if (labels.empty() ||
-      labels.size() > static_cast<std::size_t>(problem_.max_degree_)) {
+      labels.size() > static_cast<std::size_t>(tables_.max_degree)) {
     throw std::invalid_argument(
         "Builder::allow_node: configuration size must be in [1, max_degree]");
   }
   for (auto l : labels) check_output_label(l);
-  auto& bucket = problem_.node_[labels.size()];
-  bucket.insert(bucket.end(), Configuration(std::move(labels)));
+  tables_.node[labels.size()].emplace_back(std::move(labels));
   return *this;
 }
 
@@ -280,44 +286,44 @@ NodeEdgeCheckableLcl::Builder::allow_node_named(
     const std::vector<std::string>& names) {
   std::vector<Label> labels;
   labels.reserve(names.size());
-  for (const auto& n : names) labels.push_back(problem_.output_.at(n));
-  return allow_node(labels);
+  for (const auto& n : names) labels.push_back(tables_.output.at(n));
+  return allow_node(std::move(labels));
 }
 
 NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_edge(
     Label a, Label b) {
   check_output_label(a);
   check_output_label(b);
-  problem_.edge_.insert(problem_.edge_.end(), Configuration::pair(a, b));
-  problem_.edge_partners_[a].insert(b);
-  problem_.edge_partners_[b].insert(a);
+  tables_.edge.push_back(Configuration::pair(a, b));
+  tables_.edge_partners[a].insert(b);
+  tables_.edge_partners[b].insert(a);
   return *this;
 }
 
 NodeEdgeCheckableLcl::Builder&
 NodeEdgeCheckableLcl::Builder::allow_edge_named(const std::string& a,
                                                 const std::string& b) {
-  return allow_edge(problem_.output_.at(a), problem_.output_.at(b));
+  return allow_edge(tables_.output.at(a), tables_.output.at(b));
 }
 
 NodeEdgeCheckableLcl::Builder&
 NodeEdgeCheckableLcl::Builder::allow_output_for_input(Label in, Label out) {
   check_input_label(in);
   check_output_label(out);
-  problem_.g_[in].insert(out);
+  tables_.g[in].insert(out);
   return *this;
 }
 
 NodeEdgeCheckableLcl::Builder&
 NodeEdgeCheckableLcl::Builder::allow_all_outputs_for_input(Label in) {
   check_input_label(in);
-  problem_.g_[in] = LabelSet::full(problem_.output_.size());
+  tables_.g[in] = LabelSet::full(tables_.output.size());
   return *this;
 }
 
 NodeEdgeCheckableLcl::Builder&
 NodeEdgeCheckableLcl::Builder::unrestricted_inputs() {
-  for (Label in = 0; in < problem_.input_.size(); ++in) {
+  for (Label in = 0; in < tables_.input.size(); ++in) {
     allow_all_outputs_for_input(in);
   }
   return *this;
@@ -329,26 +335,45 @@ NodeEdgeCheckableLcl::Builder::allow_unsatisfiable_inputs() {
   return *this;
 }
 
+namespace {
+
+/// Sorts an appended configuration list ascending, skipping the sort when
+/// it arrived in order, and drops repeats.
+void sort_unique(std::vector<Configuration>& configs) {
+  if (!std::is_sorted(configs.begin(), configs.end())) {
+    std::sort(configs.begin(), configs.end());
+  }
+  configs.erase(std::unique(configs.begin(), configs.end()), configs.end());
+}
+
+}  // namespace
+
 NodeEdgeCheckableLcl NodeEdgeCheckableLcl::Builder::build() {
   if (built_) {
     throw std::logic_error("Builder::build called twice");
   }
-  if (problem_.total_node_configs() == 0) {
+  const bool has_node_config =
+      std::any_of(tables_.node.begin(), tables_.node.end(),
+                  [](const auto& per_degree) { return !per_degree.empty(); });
+  if (!has_node_config) {
     throw std::logic_error("Builder::build: no node configuration added");
   }
-  if (problem_.edge_.empty()) {
+  if (tables_.edge.empty()) {
     throw std::logic_error("Builder::build: no edge configuration added");
   }
-  for (Label in = 0; in < problem_.input_.size(); ++in) {
-    if (!allow_unsatisfiable_inputs_ && problem_.g_[in].empty()) {
+  for (Label in = 0; in < tables_.input.size(); ++in) {
+    if (!allow_unsatisfiable_inputs_ && tables_.g[in].empty()) {
       throw std::logic_error(
-          "Builder::build: input label '" + problem_.input_.name(in) +
+          "Builder::build: input label '" + tables_.input.name(in) +
           "' permits no output label; call allow_output_for_input / "
           "unrestricted_inputs");
     }
   }
+  for (auto& per_degree : tables_.node) sort_unique(per_degree);
+  sort_unique(tables_.edge);
   built_ = true;
-  return std::move(problem_);
+  return NodeEdgeCheckableLcl(
+      std::move(name_), std::make_shared<const Tables>(std::move(tables_)));
 }
 
 }  // namespace lcl

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <set>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +25,11 @@ namespace lcl {
 /// A correct solution labels every half-edge with an output label such that
 /// all three constraints hold everywhere (Definition 2.3, items 1-3).
 ///
-/// Instances are immutable; use `Builder` to construct them.
+/// Instances are immutable; use `Builder` to construct them. Immutable also
+/// means shared: a problem is a name plus a pointer to one constraint-table
+/// block that `Builder::build()` fills once and nothing ever mutates, so
+/// copying a problem (or renaming a copy) bumps a reference count and never
+/// copies a configuration. Copies may live on different threads.
 class NodeEdgeCheckableLcl {
  public:
   class Builder;
@@ -36,16 +40,17 @@ class NodeEdgeCheckableLcl {
   NodeEdgeCheckableLcl() = default;
 
   const std::string& name() const noexcept { return name_; }
-  /// This problem under another name (names never affect constraints).
+  /// This problem under another name (names never affect constraints); the
+  /// result shares this problem's tables.
   NodeEdgeCheckableLcl renamed(std::string name) && {
     name_ = std::move(name);
     return std::move(*this);
   }
-  const Alphabet& input_alphabet() const noexcept { return input_; }
-  const Alphabet& output_alphabet() const noexcept { return output_; }
+  const Alphabet& input_alphabet() const noexcept { return tables().input; }
+  const Alphabet& output_alphabet() const noexcept { return tables().output; }
 
   /// Maximum node degree for which node configurations exist.
-  int max_degree() const noexcept { return max_degree_; }
+  int max_degree() const noexcept { return tables().max_degree; }
 
   /// True iff the multiset `config` is an allowed node configuration for
   /// degree `config.size()`.
@@ -61,12 +66,13 @@ class NodeEdgeCheckableLcl {
   /// `g_Pi(input)`: outputs allowed on a half-edge with this input label.
   const LabelSet& allowed_outputs(Label input) const;
 
-  /// All node configurations of a given degree (may be empty).
-  const std::set<Configuration>& node_configs(int degree) const;
+  /// All node configurations of a given degree (may be empty), sorted
+  /// ascending and free of duplicates.
+  const std::vector<Configuration>& node_configs(int degree) const;
 
-  /// All edge configurations.
-  const std::set<Configuration>& edge_configs() const noexcept {
-    return edge_;
+  /// All edge configurations, sorted ascending and free of duplicates.
+  const std::vector<Configuration>& edge_configs() const noexcept {
+    return tables().edge;
   }
 
   /// Total number of node configurations across all degrees.
@@ -76,15 +82,35 @@ class NodeEdgeCheckableLcl {
   std::string to_string() const;
 
  private:
+  /// Everything but the name. Each configuration list is sorted by
+  /// `Configuration::operator<` and free of repeats, so membership is a
+  /// binary search and every walk over a list visits its configurations in
+  /// canonical order.
+  struct Tables {
+    Alphabet input;
+    Alphabet output;
+    int max_degree = 0;
+    std::vector<std::vector<Configuration>> node;  // indexed by degree
+    std::vector<Configuration> edge;
+    std::vector<LabelSet> edge_partners;  // indexed by output label
+    std::vector<LabelSet> g;              // indexed by input label
+  };
+
+  NodeEdgeCheckableLcl(std::string name, std::shared_ptr<const Tables> tables)
+      : name_(std::move(name)), tables_(std::move(tables)) {}
+
+  /// The tables a default-constructed problem answers from: no labels, no
+  /// configurations.
+  static const Tables& no_tables() noexcept;
+  const Tables& tables() const noexcept {
+    return tables_ ? *tables_ : no_tables();
+  }
+
+  friend bool same_constraints(const NodeEdgeCheckableLcl& a,
+                               const NodeEdgeCheckableLcl& b);
+
   std::string name_;
-  Alphabet input_;
-  Alphabet output_;
-  int max_degree_ = 0;
-  std::vector<std::set<Configuration>> node_;  // indexed by degree, 0..max
-  std::set<Configuration> edge_;
-  std::vector<LabelSet> edge_partners_;  // indexed by output label
-  std::vector<LabelSet> g_;              // indexed by input label
-  std::set<Configuration> empty_;        // returned for out-of-range degrees
+  std::shared_ptr<const Tables> tables_;  // null only when default-built
 };
 
 /// Structural equality of two problems' constraint systems: same alphabet
@@ -94,7 +120,9 @@ class NodeEdgeCheckableLcl {
 /// only in naming behave identically everywhere.
 ///
 /// This is the exact confirmation behind the engine's cheap fixed-point
-/// signature: a matching signature is necessary but not sufficient.
+/// signature: a matching signature is necessary but not sufficient. Two
+/// problems sharing one table block (copies of each other) compare equal
+/// without a walk.
 bool same_constraints(const NodeEdgeCheckableLcl& a,
                       const NodeEdgeCheckableLcl& b);
 
@@ -130,10 +158,10 @@ class NodeEdgeCheckableLcl::Builder {
   Builder(std::string name, Alphabet input, Alphabet output, int max_degree);
 
   /// Allows the node configuration given by `labels` (its degree is
-  /// `labels.size()`). Both overloads, like `allow_edge`, hint the set
-  /// insertion at the end, which is amortized O(1) when configurations
-  /// arrive in increasing canonical order - exactly how the
-  /// round-elimination kernels and `reduce()` emit them.
+  /// `labels.size()`). Both overloads, like `allow_edge`, append; `build()`
+  /// sorts a list only when its configurations arrived out of order (of the
+  /// lists the operators and `reduce()` emit, only `R`'s edge list does,
+  /// its rows walking submasks downwards) and then drops repeats.
   Builder& allow_node(const std::vector<Label>& labels);
   /// Move overload: additionally reuses the label vector.
   Builder& allow_node(std::vector<Label>&& labels);
@@ -161,17 +189,20 @@ class NodeEdgeCheckableLcl::Builder {
   /// problems (round elimination after trimming) can hit it legitimately.
   Builder& allow_unsatisfiable_inputs();
 
-  /// Finalizes. Throws `std::logic_error` if no node or edge configuration
-  /// was added, or if some input label has an empty `g` set while node
-  /// configurations exist (such a problem is trivially unsolvable on any
-  /// graph with an edge; we reject it to surface specification bugs early).
+  /// Finalizes: sorts and deduplicates the configuration lists and freezes
+  /// the tables into the block every copy of the result shares. Throws
+  /// `std::logic_error` if no node or edge configuration was added, or if
+  /// some input label has an empty `g` set while node configurations exist
+  /// (such a problem is trivially unsolvable on any graph with an edge; we
+  /// reject it to surface specification bugs early).
   NodeEdgeCheckableLcl build();
 
  private:
   void check_output_label(Label l) const;
   void check_input_label(Label l) const;
 
-  NodeEdgeCheckableLcl problem_;
+  std::string name_;
+  Tables tables_;
   bool built_ = false;
   bool allow_unsatisfiable_inputs_ = false;
 };

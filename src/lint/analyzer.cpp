@@ -582,8 +582,12 @@ PrunedProblem prune_problem(const NodeEdgeCheckableLcl& problem,
   PrunedProblem out;
   out.report = lint_problem(problem, options);
   if (out.report.structurally_valid && !out.report.trivially_unsolvable) {
-    out.problem = build_spec(out.report.canonical);
     out.changed = out.report.dead_labels > 0;
+    // With no dead label and no canonical relabeling, the canonical spec of
+    // a built problem has exactly its constraints, names and order: keep
+    // the problem itself, which shares its tables, instead of rebuilding it.
+    const bool as_given = !out.changed && !options.canonical_labels;
+    out.problem = as_given ? problem : build_spec(out.report.canonical);
   }
   return out;
 }

@@ -121,7 +121,9 @@ struct PrunedProblem {
 
 /// Pre-flight helper: lint, prune, and rebuild. Dead-label removal before
 /// round elimination cuts the `2^k - 1` power-set base of `R`; solutions of
-/// the pruned problem map back through `report.new_to_old`.
+/// the pruned problem map back through `report.new_to_old`. When nothing
+/// was pruned and `canonical_labels` is off, `problem` is a copy of the
+/// input (sharing its tables) rather than a rebuild.
 PrunedProblem prune_problem(const NodeEdgeCheckableLcl& problem,
                             const LintOptions& options = {});
 

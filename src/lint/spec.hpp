@@ -10,8 +10,8 @@ namespace lcl::lint {
 
 /// A raw, *unvalidated* problem description - what a spec file says before
 /// anyone has checked it. Unlike `NodeEdgeCheckableLcl` (whose builder
-/// rejects malformed input eagerly and whose `std::set` storage silently
-/// canonicalizes), a `ProblemSpec` can hold every mistake the analyzer
+/// rejects malformed input eagerly and silently sorts and deduplicates its
+/// configurations), a `ProblemSpec` can hold every mistake the analyzer
 /// exists to diagnose: out-of-range label indices, duplicate or unsorted
 /// configurations, mismatched `g` tables. Label references are signed so a
 /// spec file saying `-1` survives parsing and reaches the L001 pass.

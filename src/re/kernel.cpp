@@ -317,9 +317,9 @@ std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
   NodeConfigIndex index(pi);
   for (int d = 1; d <= pi.max_degree(); ++d) {
     const auto degree = static_cast<std::size_t>(d);
-    // The EXISTS matching iterates the stored configurations; copy them out
-    // of the std::set once into one flat row-per-config array so the inner
-    // loop is a contiguous scan.
+    // The EXISTS matching iterates the stored configurations; copy them
+    // once into one flat row-per-config array so the inner loop is a
+    // contiguous scan.
     std::vector<Label> flat_configs;
     if (exists_node) {
       const auto& stored = pi.node_configs(d);

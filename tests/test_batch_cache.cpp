@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <future>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -13,11 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "batch/pool.hpp"
 #include "core/lcl.hpp"
 #include "core/problems.hpp"
 #include "fuzz/generator.hpp"
 #include "lint/canonical.hpp"
 #include "lint/spec.hpp"
+#include "lint/spec_io.hpp"
 #include "obs/json.hpp"
 #include "util/rng.hpp"
 
@@ -282,6 +285,56 @@ NodeEdgeCheckableLcl permuted_copy(const NodeEdgeCheckableLcl& problem,
                                    const std::vector<Label>& sigma) {
   return lint::build_spec(
       lint::permute_spec(lint::spec_from_problem(problem), sigma));
+}
+
+TEST(BatchCache, DerivedProblemsStayObjectsAndRoundTripTheDiskTier) {
+  const std::string path = testing::TempDir() + "lcl_batch_cache_derived.jsonl";
+  std::remove(path.c_str());
+  const auto mm = problems::maximal_matching(2);
+  const auto next = problems::mis(2);
+  {
+    Cache::Options options;
+    options.disk_path = path;
+    Cache cache(std::move(options));
+    cache.insert_derived("step", mm, next, tag("mm-step"));
+    cache.insert_derived("step", mm, problems::trivial(2), tag("again"));
+    EXPECT_EQ(cache.stats().insertions, 1u);  // duplicate key: a no-op
+    const auto hit = cache.find_derived("step", mm);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(tag_of(hit->value), "mm-step");
+    // The memory tier serves the stored object itself: no copy of it.
+    EXPECT_EQ(&hit->next.edge_configs(), &next.edge_configs());
+    EXPECT_EQ(hit->next.name(), next.name());
+    // A plain lookup sees the value alone.
+    const auto plain = cache.find("step", mm);
+    ASSERT_TRUE(plain.has_value());
+    EXPECT_EQ(plain->find("next"), nullptr);
+    EXPECT_FALSE(cache.find_derived("step", next).has_value());
+  }
+  // On disk the derived problem is the value's "next" spec.
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const auto record = json::parse(line, nullptr);
+  ASSERT_NE(record, nullptr);
+  const auto* value = record->find("value");
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(tag_of(*value), "mm-step");
+  ASSERT_NE(value->find("next"), nullptr);
+  EXPECT_EQ(lint::spec_from_json_value(*value->find("next")),
+            lint::spec_from_problem(next));
+  EXPECT_FALSE(std::getline(in, line));
+
+  Cache::Options options;
+  options.disk_path = path;
+  Cache cache(std::move(options));
+  EXPECT_EQ(cache.stats().disk_loaded, 1u);
+  const auto hit = cache.find_derived("step", mm);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(tag_of(hit->value), "mm-step");
+  EXPECT_EQ(hit->value.find("next"), nullptr);
+  EXPECT_TRUE(same_constraints(hit->next, next));
+  EXPECT_EQ(lint::spec_from_problem(hit->next), lint::spec_from_problem(next));
 }
 
 TEST(BatchCacheCanonical, ServesPermutedProblemsWithEvidence) {
@@ -556,6 +609,48 @@ TEST(BatchCacheCanonical, InPlaceConfirmationRejectsNonPermutations) {
                  std::invalid_argument);
     EXPECT_THROW(permuted_copy(mm, bad), std::invalid_argument);
   }
+}
+
+TEST(SharedTables, PoolWorkersCopyQueryAndDropConcurrently) {
+  // Cache entries, memo steps and engines on different pool workers share
+  // one table block. Here workers copy one problem and one stored cache
+  // entry, query the copies and drop them, all at once; CI runs this under
+  // TSan.
+  std::optional<NodeEdgeCheckableLcl> problem = problems::maximal_matching(3);
+  const auto next = problems::mis(3);
+  const std::uint64_t problem_signature = constraint_signature(*problem);
+  const std::uint64_t next_signature = constraint_signature(next);
+  const Configuration allowed = problem->node_configs(3).front();
+  const std::size_t degree3_configs = problem->node_configs(3).size();
+  Cache cache;
+  cache.insert_derived("step", *problem, next, tag("stored"));
+
+  batch::Pool pool(batch::Pool::Options{4});
+  std::vector<std::future<bool>> futures;
+  for (int task = 0; task < 32; ++task) {
+    // Each task holds its own reference until it is done with it.
+    futures.push_back(pool.submit([&, mine = *problem]() {
+      bool ok = true;
+      for (int round = 0; round < 50; ++round) {
+        const NodeEdgeCheckableLcl copy = mine;
+        const auto hit = cache.find_derived("step", copy);
+        if (!hit) return false;
+        const auto served =
+            NodeEdgeCheckableLcl(hit->next).renamed("served");
+        ok = ok && copy.node_allows(allowed) &&
+             copy.node_configs(3).size() == degree3_configs &&
+             constraint_signature(copy) == problem_signature &&
+             constraint_signature(served) == next_signature &&
+             same_constraints(copy, mine) && same_constraints(served, next);
+      }
+      return ok;
+    }));
+  }
+  // The cache entry and the tasks' captures keep the tables alive.
+  problem.reset();
+  for (auto& future : futures) EXPECT_TRUE(future.get());
+  pool.wait_idle();
+  EXPECT_EQ(cache.stats().hits, 32u * 50u);
 }
 
 }  // namespace

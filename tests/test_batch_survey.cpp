@@ -18,6 +18,7 @@
 #include "lint/canonical.hpp"
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
+#include "obs/json.hpp"
 #include "re/engine.hpp"
 
 namespace lcl {
@@ -389,7 +390,156 @@ TEST(Survey, CanonicalReportIsDeterministicAcrossJobsAndCacheStates) {
   }
 }
 
+/// The members of the exhaustive families named `names`, in that order.
+Family members_named(const std::vector<std::string>& names) {
+  const auto d2l2 = batch::exhaustive_family({});
+  const auto d2l3 = batch::exhaustive_family({2, 3});
+  Family family;
+  family.description = "picked";
+  for (const auto& name : names) {
+    for (const auto* source : {&d2l2, &d2l3}) {
+      for (const auto& member : source->members) {
+        if (member.name == name) family.members.push_back(member);
+      }
+    }
+  }
+  return family;
+}
+
+/// `problem` with its output labels renamed `q0, q1, ...`: the same
+/// constraints under other label names.
+NodeEdgeCheckableLcl with_other_label_names(
+    const NodeEdgeCheckableLcl& problem) {
+  auto spec = lint::spec_from_problem(problem);
+  for (std::size_t l = 0; l < spec.outputs.size(); ++l) {
+    spec.outputs[l] = "q" + std::to_string(l);
+  }
+  return lint::build_spec(spec);
+}
+
+TEST(SurveyStepTier, ServedIterateLabelNamesReachNoRowColumn) {
+  // A "step:" entry keeps the iterate under the label names of the member
+  // that computed it first, so a served iterate may carry another member's
+  // label names. Seed every step of each member's sequence under names no
+  // member uses, and every row column must still equal the uncached one.
+  // The d2l3 members end in notes that name an iterate.
+  const Family family =
+      members_named({"d2l2-n2-e2", "d2l3-n19-e12", "d2l3-n34-e21"});
+  ASSERT_EQ(family.members.size(), 3u);
+  auto options = default_options();
+  const std::string kind =
+      "step:r:l" + std::to_string(options.engine.limits.max_labels) + ":c" +
+      std::to_string(options.engine.limits.max_configs);
+
+  Cache cache;
+  std::uint64_t seeded = 0;
+  for (const auto& member : family.members) {
+    SpeedupEngine engine(member.problem);
+    const auto outcome = engine.run(options.engine);
+    for (std::size_t i = 0; i < engine.steps_applied(); ++i) {
+      const NodeEdgeCheckableLcl& current =
+          i == 0 ? engine.effective_base() : engine.problem_at(i);
+      obs::json::Value value = obs::json::Value::make_object();
+      value.object()["psi_labels"] = obs::json::Value(
+          static_cast<std::int64_t>(outcome.steps[i].labels_psi));
+      cache.insert_derived(kind, current,
+                           with_other_label_names(engine.problem_at(i + 1)),
+                           value);
+      ++seeded;
+    }
+  }
+  ASSERT_EQ(cache.stats().insertions, seeded);
+  ASSERT_GE(seeded, 5u);
+
+  options.cache = &cache;
+  const auto served = batch::run_survey(family, options);
+  // Every seeded step was served at least once.
+  EXPECT_GE(cache.stats().hits, seeded);
+  options.cache = nullptr;
+  const auto uncached = batch::run_survey(family, options);
+
+  ASSERT_EQ(served.outcomes.size(), uncached.outcomes.size());
+  std::size_t notes = 0;
+  for (std::size_t i = 0; i < served.outcomes.size(); ++i) {
+    const auto& got = served.outcomes[i];
+    const auto& want = uncached.outcomes[i];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.key, want.key);
+    EXPECT_EQ(got.canonical_key, want.canonical_key);
+    EXPECT_EQ(got.cycle_class, want.cycle_class);
+    EXPECT_EQ(got.path_class, want.path_class);
+    EXPECT_EQ(got.zero_round_step, want.zero_round_step);
+    EXPECT_EQ(got.steps_applied, want.steps_applied);
+    EXPECT_EQ(got.fixed_point, want.fixed_point);
+    EXPECT_EQ(got.budget_exhausted, want.budget_exhausted);
+    EXPECT_EQ(got.detected_unsolvable, want.detected_unsolvable);
+    EXPECT_EQ(got.note, want.note);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.landscape_class, want.landscape_class);
+    if (!want.note.empty()) ++notes;
+  }
+  EXPECT_EQ(notes, 2u);
+  // And every other column, byte for byte.
+  EXPECT_EQ(served.to_json(), uncached.to_json());
+}
+
 #ifdef LCL_BATCH_GOLDEN_DIR
+/// The disk tier a jobs=1 survey of `d2l2-n2-e2` writes, captured before
+/// the memory tier kept iterates as objects: the "step:" records carry each
+/// iterate as the spec JSON in `value["next"]`.
+const char kStepTierGolden[] = "/step-tier-d2l2-n2-e2.jsonl";
+
+TEST(SurveyStepTier, DiskRecordsMatchThePinnedTier) {
+  const std::string golden =
+      read_file(std::string(LCL_BATCH_GOLDEN_DIR) + kStepTierGolden);
+  ASSERT_FALSE(golden.empty());
+  const std::string path = testing::TempDir() + "lcl_batch_step_tier.jsonl";
+  std::remove(path.c_str());
+  {
+    Cache::Options cache_options;
+    cache_options.disk_path = path;
+    cache_options.load_existing = false;
+    Cache cache(std::move(cache_options));
+    auto options = default_options();
+    options.cache = &cache;
+    (void)batch::run_survey(members_named({"d2l2-n2-e2"}), options);
+  }
+  const std::string written = read_file(path);
+  EXPECT_EQ(written, golden);
+  EXPECT_NE(written.find(R"("kind":"step:r:l4096:c4000000")"),
+            std::string::npos);
+}
+
+TEST(SurveyStepTier, PinnedTierResumesWithoutMisses) {
+  const std::string golden =
+      read_file(std::string(LCL_BATCH_GOLDEN_DIR) + kStepTierGolden);
+  ASSERT_FALSE(golden.empty());
+  const std::string path = testing::TempDir() + "lcl_batch_step_resume.jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << golden;
+  }
+  const Family family = members_named({"d2l2-n2-e2"});
+  auto options = default_options();
+  std::string resumed;
+  {
+    Cache::Options cache_options;
+    cache_options.disk_path = path;
+    cache_options.load_existing = true;
+    Cache cache(std::move(cache_options));
+    EXPECT_EQ(cache.stats().disk_loaded, 10u);
+    EXPECT_EQ(cache.stats().disk_skipped, 0u);
+    options.cache = &cache;
+    resumed = batch::run_survey(family, options).to_json();
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(cache.stats().insertions, 0u);
+  }
+  EXPECT_EQ(read_file(path), golden);  // nothing appended
+  options.cache = nullptr;
+  EXPECT_EQ(resumed, batch::run_survey(family, options).to_json());
+}
+
 TEST(Survey, MatchesTheCommittedGoldenReport) {
   const std::string golden_path =
       std::string(LCL_BATCH_GOLDEN_DIR) + "/survey-d2-l2.json";

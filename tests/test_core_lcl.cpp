@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "batch/cache.hpp"
 #include "core/problems.hpp"
+#include "lint/spec.hpp"
 
 namespace lcl {
 namespace {
@@ -286,6 +292,133 @@ TEST(ProblemEquality, CollidingSignaturesAreNotIsomorphic) {
   EXPECT_FALSE(same_constraints(a, b));
   EXPECT_FALSE(isomorphic_constraints(a, b));
   EXPECT_FALSE(isomorphic_constraints(b, a));
+}
+
+// ---------------------------------------------------------------------------
+// Representation: one shared block of sorted, deduplicated tables.
+
+/// Three labels, degrees 1..3, a restricted `g`. `scrambled` supplies the
+/// same constraints with every list reversed, every configuration twice
+/// and each configuration's labels in descending order.
+NodeEdgeCheckableLcl three_label_problem(bool scrambled) {
+  std::vector<std::vector<Label>> nodes = {
+      {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {0, 1, 2}, {2, 2, 2}};
+  std::vector<std::pair<Label, Label>> edges = {
+      {0, 0}, {0, 1}, {0, 2}, {1, 2}, {2, 2}};
+  if (scrambled) {
+    std::reverse(nodes.begin(), nodes.end());
+    std::reverse(edges.begin(), edges.end());
+  }
+  NodeEdgeCheckableLcl::Builder builder(
+      scrambled ? "scrambled" : "ordered", Alphabet({"i", "j"}),
+      Alphabet({"x", "y", "z"}), 3);
+  for (int copy = 0; copy < (scrambled ? 2 : 1); ++copy) {
+    for (auto labels : nodes) {
+      if (scrambled) std::reverse(labels.begin(), labels.end());
+      builder.allow_node(labels);
+    }
+    for (const auto& [a, b] : edges) {
+      if (scrambled) {
+        builder.allow_edge(b, a);
+      } else {
+        builder.allow_edge(a, b);
+      }
+    }
+  }
+  builder.allow_all_outputs_for_input(0);
+  builder.allow_output_for_input(1, 2);
+  return builder.build();
+}
+
+bool sorted_and_unique(const std::vector<Configuration>& configs) {
+  return std::is_sorted(configs.begin(), configs.end()) &&
+         std::adjacent_find(configs.begin(), configs.end()) == configs.end();
+}
+
+TEST(LclRepresentation, OutOfOrderBuildEqualsTheInOrderBuild) {
+  const auto ordered = three_label_problem(false);
+  const auto scrambled = three_label_problem(true);
+  for (int d = -1; d <= 4; ++d) {
+    EXPECT_TRUE(sorted_and_unique(scrambled.node_configs(d))) << d;
+    EXPECT_EQ(scrambled.node_configs(d), ordered.node_configs(d)) << d;
+  }
+  EXPECT_EQ(scrambled.node_configs(2).size(), 4u);
+  EXPECT_TRUE(sorted_and_unique(scrambled.edge_configs()));
+  EXPECT_EQ(scrambled.edge_configs(), ordered.edge_configs());
+  EXPECT_EQ(scrambled.total_node_configs(), 9u);
+
+  // Every membership query over the alphabet (and one label past it).
+  std::vector<std::vector<Label>> probes;
+  for (Label a = 0; a <= 3; ++a) {
+    probes.push_back({a});
+    for (Label b = a; b <= 3; ++b) {
+      probes.push_back({a, b});
+      for (Label c = b; c <= 3; ++c) probes.push_back({a, b, c});
+    }
+  }
+  probes.push_back({0, 0, 0, 0});  // past max_degree
+  for (const auto& labels : probes) {
+    const Configuration config(labels);
+    EXPECT_EQ(scrambled.node_allows(config), ordered.node_allows(config))
+        << config.to_string(Alphabet({"x", "y", "z", "w"}));
+  }
+  for (Label a = 0; a <= 3; ++a) {
+    for (Label b = 0; b <= 3; ++b) {
+      EXPECT_EQ(scrambled.edge_allows(a, b), ordered.edge_allows(a, b))
+          << a << "," << b;
+    }
+  }
+
+  EXPECT_TRUE(same_constraints(scrambled, ordered));
+  EXPECT_EQ(batch::constraint_signature(scrambled),
+            batch::constraint_signature(ordered));
+  auto scrambled_spec = lint::spec_from_problem(scrambled);
+  scrambled_spec.name = "ordered";
+  EXPECT_EQ(scrambled_spec, lint::spec_from_problem(ordered));
+}
+
+TEST(LclRepresentation, CopiesShareTheOriginalsTables) {
+  const auto original = problems::maximal_matching(3);
+  const NodeEdgeCheckableLcl copy = original;
+  const auto renamed = NodeEdgeCheckableLcl(original).renamed("other");
+  for (const auto* problem : {&copy, &renamed}) {
+    // The same objects, not equal copies of them.
+    EXPECT_EQ(&problem->output_alphabet(), &original.output_alphabet());
+    EXPECT_EQ(&problem->edge_configs(), &original.edge_configs());
+    EXPECT_EQ(&problem->node_configs(3), &original.node_configs(3));
+    EXPECT_EQ(&problem->allowed_outputs(0), &original.allowed_outputs(0));
+    EXPECT_TRUE(same_constraints(*problem, original));
+    EXPECT_TRUE(same_constraints(original, *problem));
+  }
+  EXPECT_EQ(renamed.name(), "other");
+  EXPECT_EQ(copy.name(), original.name());
+  EXPECT_NE(original.name(), "other");
+
+  // A second build has tables of its own and still compares equal.
+  const auto rebuilt = problems::maximal_matching(3);
+  EXPECT_NE(&rebuilt.edge_configs(), &original.edge_configs());
+  EXPECT_TRUE(same_constraints(rebuilt, original));
+}
+
+TEST(LclRepresentation, DefaultConstructedProblemAllowsNothing) {
+  const NodeEdgeCheckableLcl empty;
+  EXPECT_EQ(empty.name(), "");
+  EXPECT_EQ(empty.input_alphabet().size(), 0u);
+  EXPECT_EQ(empty.output_alphabet().size(), 0u);
+  EXPECT_EQ(empty.max_degree(), 0);
+  for (int d = -1; d <= 3; ++d) EXPECT_TRUE(empty.node_configs(d).empty());
+  EXPECT_TRUE(empty.edge_configs().empty());
+  EXPECT_EQ(empty.total_node_configs(), 0u);
+  EXPECT_FALSE(empty.node_allows(Configuration()));
+  EXPECT_FALSE(empty.node_allows(Configuration({0})));
+  EXPECT_FALSE(empty.node_allows(Configuration({0, 0})));
+  EXPECT_FALSE(empty.edge_allows(0, 0));
+  EXPECT_THROW(empty.edge_partners(0), std::out_of_range);
+  EXPECT_THROW(empty.allowed_outputs(0), std::out_of_range);
+  EXPECT_NE(empty.to_string().find("Delta = 0"), std::string::npos);
+  EXPECT_TRUE(same_constraints(empty, NodeEdgeCheckableLcl()));
+  EXPECT_FALSE(same_constraints(empty, problems::trivial(2)));
+  EXPECT_FALSE(same_constraints(problems::trivial(2), empty));
 }
 
 }  // namespace

@@ -314,6 +314,9 @@ TEST(LintPrune, CleanProblemsComeBackUnchanged) {
   EXPECT_FALSE(pruned.changed);
   EXPECT_EQ(pruned.report.dead_labels, 0u);
   EXPECT_TRUE(same_constraints(pruned.problem, original));
+  // Nothing to prune: the input itself, not a rebuild of it.
+  EXPECT_EQ(&pruned.problem.edge_configs(), &original.edge_configs());
+  EXPECT_EQ(pruned.problem.name(), original.name());
 }
 
 // ---------------------------------------------------------------------------
