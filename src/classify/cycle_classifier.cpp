@@ -5,8 +5,8 @@
 
 #include "classify/automaton.hpp"
 #include "core/configuration.hpp"
-#include "lint/analyzer.hpp"
 #include "obs/obs.hpp"
+#include "re/reduce.hpp"
 
 namespace lcl {
 
@@ -66,14 +66,12 @@ CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
   LCL_OBS_SPAN(span, "classify/cycles", "classify");
   CycleClassification result;
 
-  // Lint pre-flight: an L020 verdict settles the classification outright,
-  // and dead-label pruning shrinks the walk automaton (and the speedup
-  // engine's power-set base) without changing the complexity class.
-  lint::LintOptions lint_options;
-  lint_options.zero_round = false;
-  auto preflight = lint::prune_problem(problem, lint_options);
-  result.pruned_labels = preflight.report.dead_labels;
-  if (preflight.report.trivially_unsolvable) {
+  // Pre-flight: an L020 verdict settles the classification outright, and
+  // dead-label pruning shrinks the walk automaton (and the speedup engine's
+  // power-set base) without changing the complexity class.
+  const TrimmedProblem preflight = preflight_trim(problem);
+  result.pruned_labels = preflight.dead_labels;
+  if (preflight.trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
     return result;
   }

@@ -7,9 +7,9 @@
 
 #include "classify/automaton.hpp"
 #include "core/configuration.hpp"
-#include "lint/analyzer.hpp"
 #include "obs/obs.hpp"
 #include "re/engine.hpp"
+#include "re/reduce.hpp"
 #include "util/label_set.hpp"
 
 namespace lcl {
@@ -123,15 +123,13 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
   LCL_OBS_SPAN(span, "classify/paths", "classify");
   PathClassification result;
 
-  // Lint pre-flight, mirroring `classify_on_cycles`: L020 short-circuits,
+  // Pre-flight, mirroring `classify_on_cycles`: L020 short-circuits,
   // pruning shrinks the automaton without changing the class. Note that
   // `solvable_for_all_lengths` stays correct too - dead labels occur in no
   // valid labeling of any path.
-  lint::LintOptions lint_options;
-  lint_options.zero_round = false;
-  auto preflight = lint::prune_problem(problem, lint_options);
-  result.pruned_labels = preflight.report.dead_labels;
-  if (preflight.report.trivially_unsolvable) {
+  const TrimmedProblem preflight = preflight_trim(problem);
+  result.pruned_labels = preflight.dead_labels;
+  if (preflight.trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
     return result;
   }

@@ -12,8 +12,8 @@ struct PathClassification {
   /// True iff a solution exists on the n-node path for every n >= 1.
   bool solvable_for_all_lengths = false;
   int zero_round_collapse_step = -1;
-  /// Dead output labels the lint pre-flight pruned before the walk
-  /// automaton was built (see CycleClassification::pruned_labels).
+  /// Dead output labels the pre-flight pruned before the walk automaton was
+  /// built (see CycleClassification::pruned_labels).
   std::size_t pruned_labels = 0;
 };
 

@@ -159,9 +159,9 @@ class NodeEdgeCheckableLcl::Builder {
 
   /// Allows the node configuration given by `labels` (its degree is
   /// `labels.size()`). Both overloads, like `allow_edge`, append; `build()`
-  /// sorts a list only when its configurations arrived out of order (of the
-  /// lists the operators and `reduce()` emit, only `R`'s edge list does,
-  /// its rows walking submasks downwards) and then drops repeats.
+  /// sorts a list only when its configurations arrived out of order (the
+  /// operators and `reduce()` build from a working set whose lists are all
+  /// ascending) and then drops repeats.
   Builder& allow_node(const std::vector<Label>& labels);
   /// Move overload: additionally reuses the label vector.
   Builder& allow_node(std::vector<Label>&& labels);

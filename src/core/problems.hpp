@@ -92,11 +92,12 @@ NodeEdgeCheckableLcl weak_coloring(int colors, int max_degree);
 /// The threshold edge constraint makes the partner sets a strict chain
 /// (partners(a) subset partners(b) for a < b) while the banded node
 /// constraint limits which replacements stay legal, so `reduce()`'s
-/// dominated-label pass keeps firing - one label per pass - across the
-/// whole alphabet. Sized at 63..129+ labels this is the workload that
-/// drives the multi-word mask tiers (the parity battery) and the wide
-/// kernel-slice benchmarks; nothing else in the canonical battery has
-/// alphabets past 64 labels before an operator is applied.
+/// dominate pass has dominations to find across the whole alphabet (each
+/// pass drops every dominated label at once). Sized at 63..129+ labels this
+/// is the workload that takes the domination relation's holder masks past
+/// one 64-bit word (the parity battery) and drives the wide kernel-slice
+/// benchmarks; nothing else in the canonical battery has alphabets past 64
+/// labels before an operator is applied.
 NodeEdgeCheckableLcl threshold_band(int labels, int window);
 
 }  // namespace problems

@@ -58,8 +58,8 @@ struct GeneratorOptions {
   /// constraints - is a small scattered subset, always including a label at
   /// or past index 64 when the alphabet allows. `g` grants mostly live
   /// labels plus the occasional dead one. The point is the pipeline's
-  /// wide-alphabet plumbing: lint preflight must prune the dead bulk,
-  /// operators see the live core, and the derived iterates (up to
+  /// wide-alphabet plumbing: the engine's pre-flight must prune the dead
+  /// bulk, operators see the live core, and the derived iterates (up to
   /// `2^live - 1` labels) walk `reduce()`'s dominated pass across the
   /// 64- and 128-label word seams. Degree is pinned to 2 so enumeration
   /// over a 130-label alphabet stays affordable per seed.

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <typeinfo>
 
 #include "classify/cycle_classifier.hpp"
 #include "classify/path_classifier.hpp"
@@ -16,6 +17,8 @@
 #include "local/view.hpp"
 #include "re/engine.hpp"
 #include "re/lift.hpp"
+#include "re/operators.hpp"
+#include "re/reduce.hpp"
 #include "re/zero_round.hpp"
 #include "volume/algorithms.hpp"
 #include "volume/model.hpp"
@@ -537,6 +540,131 @@ OracleResult oracle_canonicalization(const FuzzCase& c,
   return r;
 }
 
+/// What a computation produced: its value, or the type and text of what it
+/// threw.
+template <typename T>
+struct Attempt {
+  std::optional<T> value;
+  const std::type_info* error_type = nullptr;
+  std::string error;
+};
+
+template <typename F>
+auto attempt(F&& compute) -> Attempt<decltype(compute())> {
+  Attempt<decltype(compute())> out;
+  try {
+    out.value = compute();
+  } catch (const std::exception& e) {
+    out.error_type = &typeid(e);
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// Empty when `a` and `b` have the same name, output-label names in order,
+/// and constraints; otherwise what differs, for `what`.
+std::string problem_mismatch(const NodeEdgeCheckableLcl& a,
+                             const NodeEdgeCheckableLcl& b,
+                             const std::string& what) {
+  if (a.name() != b.name()) {
+    return what + " is named '" + a.name() + "' vs '" + b.name() + "'";
+  }
+  const Alphabet& x = a.output_alphabet();
+  const Alphabet& y = b.output_alphabet();
+  if (x.size() != y.size()) {
+    return what + " has " + std::to_string(x.size()) + " vs " +
+           std::to_string(y.size()) + " output labels";
+  }
+  for (Label l = 0; l < x.size(); ++l) {
+    if (x.name(l) != y.name(l)) {
+      return what + " names label " + std::to_string(l) + " '" + x.name(l) +
+             "' vs '" + y.name(l) + "'";
+    }
+  }
+  if (!same_constraints(a, b)) return what + " has different constraints";
+  return {};
+}
+
+std::string step_mismatch(const ReStep& a, const ReStep& b,
+                          const std::string& what) {
+  if (auto m = problem_mismatch(a.problem, b.problem, what); !m.empty()) {
+    return m;
+  }
+  if (a.meaning != b.meaning) return what + " has different meanings";
+  return {};
+}
+
+/// Oracle (g): the fused speedup step against its definition.
+/// `speedup_step(pi)` builds only `psi` and `f(pi)`, from working sets that
+/// the operators fill and `reduce()` trims in place; the reference builds
+/// each operator's full output and reduces it. Both levels must agree in
+/// name, label names, constraints and meanings, and an error must be the
+/// same type with the same text. The table pre-flight (`preflight_trim`)
+/// must find what `lint::prune_problem` finds: dead labels, the L020
+/// verdict, `new_to_old`, and the pruned problem with its names.
+OracleResult oracle_step_parity(const FuzzCase& c, const OracleOptions& o) {
+  OracleResult r;
+  r.applicable = true;
+  const auto fused = attempt([&] { return speedup_step(c.problem, o.limits); });
+  const auto reference = attempt([&] {
+    SequenceLevel level;
+    level.psi = reduce_step(apply_r(c.problem, o.limits), o.limits.kernel);
+    level.next = reduce_step(apply_rbar(level.psi.problem, o.limits),
+                             o.limits.kernel);
+    return level;
+  });
+  if (reference.error_type != nullptr || fused.error_type != nullptr) {
+    const bool same =
+        reference.error_type != nullptr && fused.error_type != nullptr &&
+        *reference.error_type == *fused.error_type &&
+        reference.error == fused.error;
+    if (!same) {
+      r.failed = true;
+      r.message = "speedup_step " +
+                  (fused.value ? std::string("succeeded")
+                               : "threw '" + fused.error + "'") +
+                  " but the reference " +
+                  (reference.value ? std::string("succeeded")
+                                   : "threw '" + reference.error + "'");
+      return r;
+    }
+  } else {
+    r.message = step_mismatch(fused.value->psi, reference.value->psi, "psi");
+    if (r.message.empty()) {
+      r.message =
+          step_mismatch(fused.value->next, reference.value->next, "f(pi)");
+    }
+    if (!r.message.empty()) {
+      r.failed = true;
+      return r;
+    }
+  }
+
+  lint::LintOptions lint_options;
+  lint_options.zero_round = false;
+  const auto pruned = lint::prune_problem(c.problem, lint_options);
+  const TrimmedProblem trimmed = preflight_trim(c.problem);
+  if (trimmed.dead_labels != pruned.report.dead_labels ||
+      trimmed.trivially_unsolvable != pruned.report.trivially_unsolvable ||
+      trimmed.new_to_old != pruned.report.new_to_old) {
+    r.failed = true;
+    r.message = "preflight_trim found " + std::to_string(trimmed.dead_labels) +
+                " dead labels (L020: " +
+                (trimmed.trivially_unsolvable ? "yes" : "no") +
+                ") but lint found " +
+                std::to_string(pruned.report.dead_labels) + " (L020: " +
+                (pruned.report.trivially_unsolvable ? "yes" : "no") +
+                "), or their new_to_old maps differ";
+    return r;
+  }
+  if (!trimmed.trivially_unsolvable) {
+    r.message = problem_mismatch(trimmed.problem, pruned.problem,
+                                 "the pre-flight's pruned problem");
+    r.failed = !r.message.empty();
+  }
+  return r;
+}
+
 }  // namespace
 
 const std::vector<OracleEntry>& oracle_bank() {
@@ -568,6 +696,11 @@ const std::vector<OracleEntry>& oracle_bank() {
        "engine verdicts are relabeling-invariant, and sigma(pi) solutions "
        "transport through sigma^-1 to pi's checker",
        &oracle_canonicalization},
+      {"step-parity",
+       "speedup_step vs reduce_step(apply_rbar(reduce_step(apply_r(pi)))): "
+       "equal problems, label names, meanings and errors; the table "
+       "pre-flight matches lint::prune_problem",
+       &oracle_step_parity},
   };
   return kBank;
 }

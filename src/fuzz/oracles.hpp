@@ -72,7 +72,14 @@ struct OracleEntry {
 ///    byte (equal signatures, equal |Aut|, the reported automorphism
 ///    generator must fix the constraint system), the speedup engine's
 ///    verdict must be relabeling-invariant, and a brute-force solution of
-///    `sigma(pi)` mapped through `sigma^-1` must pass `pi`'s checker.
+///    `sigma(pi)` mapped through `sigma^-1` must pass `pi`'s checker;
+///  - "step-parity":       the fused `speedup_step(pi)` must equal its
+///    definition `reduce_step(apply_rbar(reduce_step(apply_r(pi)).problem))`
+///    - same problem names, output-label names in order, constraints and
+///    meanings at both levels, or the same exception type and text - and
+///    the table pre-flight `preflight_trim` must match
+///    `lint::prune_problem`: dead labels, L020 verdict, `new_to_old`, and
+///    the pruned problem with its names.
 const std::vector<OracleEntry>& oracle_bank();
 
 /// Runs the oracle with the given id; throws `std::invalid_argument` for an

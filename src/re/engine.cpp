@@ -5,10 +5,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "lint/analyzer.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_context.hpp"
-#include "re/operators.hpp"
+#include "re/kernel.hpp"
 #include "re/reduce.hpp"
 
 namespace lcl {
@@ -34,7 +33,7 @@ std::vector<std::size_t> signature(const NodeEdgeCheckableLcl& p) {
 class SynthesizedAlgorithm final : public BallAlgorithm {
  public:
   /// `base` is the problem the levels actually lift down to (the engine's
-  /// effective, possibly lint-pruned, base); `new_to_old` translates its
+  /// effective, possibly pre-flight-pruned, base); `new_to_old` translates its
   /// labels back to the original problem's (empty = identity).
   SynthesizedAlgorithm(const NodeEdgeCheckableLcl& base,
                        const std::vector<SequenceLevel>& levels,
@@ -156,10 +155,9 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
 
 SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
                            const ReLimits& limits, bool reduce) {
-  ReStep psi = apply_r(pi, limits);
-  if (reduce) psi = reduce_step(std::move(psi), limits.kernel);
-  ReStep next = apply_rbar(psi.problem, limits);
-  if (reduce) next = reduce_step(std::move(next), limits.kernel);
+  ReStep psi = re_kernel::apply(pi, limits, /*exists_node=*/true, reduce);
+  ReStep next =
+      re_kernel::apply(psi.problem, limits, /*exists_node=*/false, reduce);
   return SequenceLevel{std::move(psi), std::move(next)};
 }
 
@@ -201,29 +199,25 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
   prune_new_to_old_.clear();
 
   if (options.preflight_lint) {
-    // Lint pre-flight: L020 short-circuits the run; dead-label pruning
-    // shrinks the alphabet `R`'s power set is built over. Both are sound:
-    // dead labels occur in no correct solution on any instance, so the
-    // pruned problem has the same solvability, round complexity, and
-    // 0-round verdicts as the original (the L030/zero-round pass is skipped
-    // here - the engine runs the exact `A_det` decision itself).
-    lint::LintOptions lint_options;
-    lint_options.zero_round = false;
-    auto preflight = lint::prune_problem(base_, lint_options);
-    outcome.preflight_dead_labels = preflight.report.dead_labels;
-    LCL_OBS_COUNTER_ADD("re.preflight_dead_labels",
-                        preflight.report.dead_labels);
-    if (preflight.report.trivially_unsolvable) {
+    // Pre-flight: an L020 verdict short-circuits the run; dead-label
+    // pruning shrinks the alphabet `R`'s power set is built over. Both are
+    // sound: dead labels occur in no correct solution on any instance, so
+    // the pruned problem has the same solvability, round complexity, and
+    // 0-round verdicts as the original.
+    auto preflight = preflight_trim(base_);
+    outcome.preflight_dead_labels = preflight.dead_labels;
+    LCL_OBS_COUNTER_ADD("re.preflight_dead_labels", preflight.dead_labels);
+    if (preflight.trivially_unsolvable) {
       outcome.detected_unsolvable = true;
       outcome.blowup_message =
           "preflight lint (L020): the pruned constraint set is empty";
       LCL_OBS_EVENT1("re/preflight_unsolvable", "re", "dead_labels",
-                     preflight.report.dead_labels);
+                     preflight.dead_labels);
       return outcome;
     }
-    if (preflight.changed) {
+    if (preflight.dead_labels > 0) {
       effective_base_ = std::move(preflight.problem);
-      prune_new_to_old_ = std::move(preflight.report.new_to_old);
+      prune_new_to_old_ = std::move(preflight.new_to_old);
       outcome.preflight_pruned = true;
     }
   }
@@ -294,16 +288,13 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
 
     const NodeEdgeCheckableLcl& latest = levels_.back().next.problem;
     if (options.preflight_lint && computed) {
-      // Lint each computed iterate (a served one was linted when it was
-      // computed). With `reduce` on this is a cross-check (reduction's trim
-      // performs the same support fixpoint, so any dead label here is a bug
-      // worth surfacing); with `reduce` off it quantifies what the faithful
-      // sequence drags along.
-      lint::LintOptions lint_options;
-      lint_options.zero_round = false;
-      const auto iterate_report = lint::lint_problem(latest, lint_options);
-      stats.lint_dead_labels = iterate_report.dead_labels;
-      if (iterate_report.dead_labels > 0) {
+      // Run the pre-flight on each computed iterate (a served one was
+      // checked when it was computed). With `reduce` on this is a
+      // cross-check (reduction's trim performs the same support fixpoint,
+      // so any dead label here is a bug worth surfacing); with `reduce` off
+      // it quantifies what the faithful sequence drags along.
+      stats.lint_dead_labels = preflight_trim(latest).dead_labels;
+      if (stats.lint_dead_labels > 0) {
         LCL_OBS_EVENT1("re/iterate_dead_labels", "re", "step", step);
       }
     }

@@ -15,10 +15,14 @@
 namespace lcl {
 
 /// One step `pi -> f(pi)` of the sequence: `R`, then `Rbar`, each followed
-/// by the sound label reduction when `reduce` is on. Throws `ReBlowupError`
-/// when an operator would exceed `limits`, and `std::runtime_error` when
-/// the reduction proves a derived problem unsolvable on every graph with an
-/// edge.
+/// by the sound label reduction when `reduce` is on. Equals
+/// `reduce_step(apply_rbar(reduce_step(apply_r(pi)).problem))` (without
+/// the reductions when `reduce` is off), but each operator fills the
+/// reduction's working set directly, so only `psi` and `f(pi)` are ever
+/// built. Throws `ReBlowupError` when an operator would exceed `limits`,
+/// `std::logic_error` (with `Builder::build`'s text) when a derived problem
+/// would not build, and `std::runtime_error` when the reduction proves a
+/// derived problem unsolvable on every graph with an edge.
 SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
                            const ReLimits& limits, bool reduce = true);
 
@@ -41,13 +45,14 @@ class SpeedupEngine {
     /// Node degrees the 0-round test must answer (empty = 1..max_degree,
     /// the forest setting; use {2} when classifying problems on cycles).
     std::vector<int> degrees;
-    /// Run the `lclscape::lint` pre-flight before the first step: an L020
-    /// verdict (trivially unsolvable) short-circuits the whole run, and
-    /// dead-label pruning shrinks the base alphabet - cutting the
+    /// Run the support-fixpoint pre-flight (`preflight_trim`: reduce's trim
+    /// pass on the tables, with lint's verdicts) before the first step: an
+    /// L020 verdict (trivially unsolvable) short-circuits the whole run,
+    /// and dead-label pruning shrinks the base alphabet - cutting the
     /// `2^k - 1` power-set base that `R` pays - without changing any
-    /// verdict. Each computed iterate is linted too (`StepStats::
-    /// lint_dead_labels`; always 0 while `reduce` is on, since reduction's
-    /// trim performs the same fixpoint).
+    /// verdict. Each computed iterate gets the same pre-flight
+    /// (`StepStats::lint_dead_labels`; always 0 while `reduce` is on, since
+    /// reduction's trim performs the same fixpoint).
     bool preflight_lint = true;
   };
 
@@ -59,8 +64,8 @@ class SpeedupEngine {
     std::size_t node_configs = 0;  // of pi_{i+1}
     std::size_t edge_configs = 0;  // of pi_{i+1}
     bool zero_round_solvable = false;  // of pi_{i+1}
-    /// Dead labels the lint pass found on pi_{i+1} (pre-flight builds only;
-    /// 0 whenever `reduce` already trimmed the iterate).
+    /// Dead labels the pre-flight found on pi_{i+1} (with `preflight_lint`
+    /// only; 0 whenever `reduce` already trimmed the iterate).
     std::size_t lint_dead_labels = 0;
     double seconds = 0.0;
   };
@@ -79,9 +84,9 @@ class SpeedupEngine {
     /// round-elimination fixed point, the classic hardness certificate
     /// (e.g. sinkless orientation).
     bool fixed_point = false;
-    /// Pre-flight lint results (Options::preflight_lint): number of dead
-    /// output labels pruned from the base problem, and whether the sequence
-    /// was actually built from the pruned base.
+    /// Pre-flight results (Options::preflight_lint): number of dead output
+    /// labels pruned from the base problem, and whether the sequence was
+    /// actually built from the pruned base.
     std::size_t preflight_dead_labels = 0;
     bool preflight_pruned = false;
     std::vector<StepStats> steps;
@@ -125,8 +130,8 @@ class SpeedupEngine {
   /// problem as given; when the pre-flight pruned it, the sequence for
   /// `i >= 1` is derived from `effective_base()` instead.
   const NodeEdgeCheckableLcl& problem_at(std::size_t i) const;
-  /// The problem the sequence actually starts from: the lint-pruned base
-  /// when the pre-flight removed dead labels, the base problem otherwise.
+  /// The problem the sequence actually starts from: the pruned base when
+  /// the pre-flight removed dead labels, the base problem otherwise.
   const NodeEdgeCheckableLcl& effective_base() const noexcept {
     return effective_base_;
   }
@@ -148,7 +153,7 @@ class SpeedupEngine {
                   const Options& options, Memo* memo);
 
   NodeEdgeCheckableLcl base_;
-  /// The lint-pruned base (== `base_` until a pre-flight prunes it). The
+  /// The pruned base (== `base_` until a pre-flight prunes it). The
   /// levels always map effective_base_ -> pi_1 -> ...; synthesized outputs
   /// are translated back to `base_` labels via `prune_new_to_old_`.
   NodeEdgeCheckableLcl effective_base_;

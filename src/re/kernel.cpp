@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "batch/pool.hpp"
+#include "re/working_set.hpp"
 #include "util/combinatorics.hpp"
 
 namespace lcl {
@@ -232,9 +233,8 @@ constexpr std::size_t kChunksPerJob = 16;
 
 }  // namespace
 
-std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
-                                const NodeEdgeCheckableLcl& pi,
-                                bool exists_node, std::size_t jobs) {
+void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
+               bool exists_node, std::size_t jobs) {
   const std::size_t base = pi.output_alphabet().size();
   // The derived label indices (2^base - 1 of them) must fit one word; the
   // public operators' alphabet guard rejects such bases long before
@@ -269,11 +269,11 @@ std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
 
   // Edge constraint. For R ({B1,B2} allowed iff B2 subseteq
   // forall_partners(B1), a symmetric relation) the allowed partners of B1
-  // are exactly the non-empty submasks of its FORALL word - a subset walk
-  // visits just those instead of testing every pair. For Rbar one AND
-  // decides each pair. The outer row loop partitions into contiguous
-  // chunks; each task collects its allowed pairs into a flat arena, merged
-  // in chunk order.
+  // are exactly the non-empty submasks of its FORALL word - an upward
+  // subset walk visits just those, in ascending order, instead of testing
+  // every pair. For Rbar one AND decides each pair. The outer row loop
+  // partitions into contiguous chunks; each task collects its allowed pairs
+  // into a flat arena, merged in chunk order.
   {
     const auto chunks = split_range(1, label_count + 1, chunk_target);
     const auto edge_task =
@@ -301,9 +301,7 @@ std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
         };
     run_deterministic(chunks, jobs, edge_task,
                       [&](const std::vector<std::pair<Label, Label>>& pairs) {
-                        for (const auto& [a, b] : pairs) {
-                          builder.allow_edge(a, b);
-                        }
+                        for (const auto& [a, b] : pairs) ws.add_edge(a, b);
                       });
   }
 
@@ -364,10 +362,7 @@ std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
                       [&](const std::vector<Label>& arena) {
                         for (std::size_t at = 0; at < arena.size();
                              at += degree) {
-                          builder.allow_node(std::vector<Label>(
-                              arena.begin() + static_cast<std::ptrdiff_t>(at),
-                              arena.begin() +
-                                  static_cast<std::ptrdiff_t>(at + degree)));
+                          ws.add_node(degree, arena.data() + at);
                         }
                       });
   }
@@ -377,22 +372,13 @@ std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
   for (Label in = 0; in < pi.input_alphabet().size(); ++in) {
     for_each_nonempty_submask(
         pi.allowed_outputs(in).word(0), [&](std::uint64_t sub) {
-          builder.allow_output_for_input(in, static_cast<Label>(sub - 1));
+          ws.allow_output(in, static_cast<Label>(sub - 1));
         });
   }
-
-  // Meanings: mask m denotes the base-label set with exactly m's bits.
-  std::vector<LabelSet> meaning;
-  meaning.reserve(label_count);
-  for (std::uint64_t m = 1; m <= label_count; ++m) {
-    meaning.push_back(LabelSet::from_words(base, {&m, 1}));
-  }
-  return meaning;
 }
 
-std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
-                                   const NodeEdgeCheckableLcl& pi,
-                                   bool exists_node) {
+void fill_generic(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
+                  bool exists_node) {
   const std::size_t base = pi.output_alphabet().size();
   std::vector<LabelSet> derived =
       all_nonempty_subsets(base, /*max_universe_bits=*/62);
@@ -424,7 +410,7 @@ std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
               // Rbar: edge is the EXISTS side.
               : derived[j].intersects(exists_partners[i]);
       if (allowed) {
-        builder.allow_edge(static_cast<Label>(i), static_cast<Label>(j));
+        ws.add_edge(static_cast<Label>(i), static_cast<Label>(j));
       }
     }
   }
@@ -439,10 +425,7 @@ std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
       const bool allowed =
           exists_node ? exists_selection_in_node_constraint(pi, slot_sets)
                       : all_selections_in_node_constraint(pi, slot_sets);
-      if (allowed) {
-        builder.allow_node(
-            std::vector<Label>(multiset.begin(), multiset.end()));
-      }
+      if (allowed) ws.add_node(multiset.size(), multiset.data());
     }
   }
 
@@ -452,12 +435,10 @@ std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
     const LabelSet& allowed = pi.allowed_outputs(in);
     for (std::size_t i = 0; i < label_count; ++i) {
       if (derived[i].is_subset_of(allowed)) {
-        builder.allow_output_for_input(in, static_cast<Label>(i));
+        ws.allow_output(in, static_cast<Label>(i));
       }
     }
   }
-
-  return derived;
 }
 
 }  // namespace re_kernel

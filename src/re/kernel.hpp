@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/lcl.hpp"
+#include "re/step.hpp"
 
 namespace lcl {
 
@@ -87,39 +88,50 @@ class NodeConfigIndex {
   std::vector<std::unordered_set<Key128, Key128Hash>> packed2_;
 };
 
+class WorkingSet;
+
 /// Internal entry points of the operator enumeration paths; the public
-/// `apply_r`/`apply_rbar` dispatch here on `ReLimits::kernel`. All paths
-/// share the alphabet/configuration guards (performed by the dispatcher),
-/// emit identical obs counters, and build constraint-identical problems
-/// with identical label names - `test_re_kernel_parity` fences that.
+/// `apply_r`/`apply_rbar` and `speedup_step` run them through
+/// `re_kernel::apply`, which dispatches on `ReLimits::kernel`. All paths
+/// share the alphabet/configuration guards (performed by `apply`), emit
+/// identical obs counters, and fill identical lists - `test_re_kernel_parity`
+/// fences that.
 namespace re_kernel {
 
-/// Fills `builder` (already carrying the derived alphabet) with the edge,
-/// node and `g` constraints of `R(pi)` / `Rbar(pi)`, and returns the
-/// derived labels' meanings. `exists_node` is true for `R` (node EXISTS /
-/// edge FORALL) and false for `Rbar` (node FORALL / edge EXISTS).
+/// Appends the edge, node and `g` constraints of `R(pi)` / `Rbar(pi)` to
+/// `ws`, a working set over the `2^base - 1` derived labels of `pi`'s base
+/// alphabet, where derived label `i` denotes the base-label set whose mask
+/// is `i + 1`. `exists_node` is true for `R` (node EXISTS / edge FORALL) and
+/// false for `Rbar` (node FORALL / edge EXISTS). Every list arrives in
+/// ascending order (edge pairs `a <= b` by row, node multisets in
+/// `enumerate_multisets` order, each `g` row ascending), so
+/// `WorkingSet::finish` sorts none of them.
 ///
-/// The generic path walks `LabelSet` containers; the mask path identifies
-/// derived label `i` with the mask `i + 1` (a plain `std::uint64_t` over
-/// the base labels), computes per-label FORALL/EXISTS partner words by a
-/// subset DP, enumerates `g`-compatible labels by subset walks, and answers
-/// node-quantifier queries through a `NodeConfigIndex`. Both produce
-/// byte-identical output (the parity battery fences this). The mask path
-/// requires the base output alphabet of `pi` to satisfy `base < 63` - the
-/// derived label masks (2^base - 1 of them) must fit one word - and throws
-/// `std::invalid_argument` otherwise.
+/// The generic path walks `LabelSet` containers; the mask path computes
+/// per-label FORALL/EXISTS partner words by a subset DP, enumerates
+/// `g`-compatible labels by upward subset walks, and answers
+/// node-quantifier queries through a `NodeConfigIndex`. Both append the
+/// same lists (the parity battery fences this). The mask path requires the
+/// base output alphabet of `pi` to satisfy `base < 63` - the derived label
+/// masks must fit one word - and throws `std::invalid_argument` otherwise.
 ///
 /// `jobs > 1` partitions the outer enumeration (edge rows, node multisets
 /// keyed by their first index) across a `batch::Pool` of that many workers,
 /// each appending allowed configurations to a flat per-worker arena; the
-/// arenas are merged in partition order, so the built problem is identical
-/// for every jobs value.
-std::vector<LabelSet> fill_generic(NodeEdgeCheckableLcl::Builder& builder,
-                                   const NodeEdgeCheckableLcl& pi,
-                                   bool exists_node);
-std::vector<LabelSet> fill_mask(NodeEdgeCheckableLcl::Builder& builder,
-                                const NodeEdgeCheckableLcl& pi,
-                                bool exists_node, std::size_t jobs = 1);
+/// arenas are merged in partition order, so the lists are identical for
+/// every jobs value.
+void fill_generic(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
+                  bool exists_node);
+void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
+               bool exists_node, std::size_t jobs = 1);
+
+/// `R(pi)` (`exists_node`) or `Rbar(pi)` under `limits`, followed by
+/// `reduce()` when `reduce` is on. The fill lands in a working set, which
+/// gets `Builder::build`'s checks (with its `std::logic_error` texts) on the
+/// unreduced lists; with `reduce` on, the passes run on that working set and
+/// only the surviving labels are named, built and given a meaning.
+ReStep apply(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
+             bool exists_node, bool reduce);
 
 }  // namespace re_kernel
 

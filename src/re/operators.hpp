@@ -18,10 +18,14 @@ namespace lcl {
 ///
 /// As in the paper (note after Definition 3.1), non-maximal configurations
 /// are NOT removed here; use `reduce()` for the sound label-level
-/// simplifications. Throws `ReBlowupError` when the enumeration would
-/// exceed `limits`. `limits.kernel` selects the enumeration implementation
-/// (dense bitmask kernels by default - see `re/kernel.hpp`); all kernels
-/// build constraint-identical problems.
+/// simplifications. `reduce_step(apply_r(pi))` is the definition that
+/// `speedup_step` computes without building this problem; both run the
+/// same fill, checks and naming. Throws `ReBlowupError` when the
+/// enumeration would exceed `limits`, and `std::logic_error` with
+/// `Builder::build`'s text when the derived problem would not build (an
+/// input of `pi` permits no output label). `limits.kernel` selects the
+/// enumeration implementation (dense bitmask kernels by default - see
+/// `re/kernel.hpp`); all kernels build constraint-identical problems.
 ReStep apply_r(const NodeEdgeCheckableLcl& pi, const ReLimits& limits = {});
 
 /// Definition 3.2: the problem `Rbar(Pi)` - same alphabets and `g` as

@@ -71,13 +71,16 @@ struct Reduction {
 /// merge pass the tie rule never fires; it keeps the dominate pass sound on
 /// its own.
 ///
-/// The passes share one working set - node configurations per degree as
-/// sorted packed keys, edges, `g`-sets, and one label map - and the reduced
-/// problem is built from it once, at the end; a problem no pass changes is
-/// returned as is. The `re/reduce` span carries the per-call pass counts as
-/// args: `trim_passes`, `merge_passes` and `dominate_passes` (passes that
-/// changed the working set) and `dominated` (labels the dominate passes
-/// dropped), next to `labels_in` and `labels_out`.
+/// The passes share one working set (`re/working_set.hpp`) - node
+/// configurations per degree as sorted packed keys, edges, `g`-sets, and one
+/// label map - and the reduced problem is built from it once, at the end; a
+/// problem no pass changes is returned as is. The operators fill the same
+/// working set, so `speedup_step` reduces `R(pi)` and `Rbar(psi)` without
+/// ever building them. The `re/reduce` span carries the per-call pass
+/// counts as args: `trim_passes`, `merge_passes` and `dominate_passes`
+/// (passes that changed the working set) and `dominated` (labels the
+/// dominate passes dropped), next to `labels_in` (the unreduced size) and
+/// `labels_out`.
 ///
 /// The paper's operators deliberately skip such simplifications (note after
 /// Definition 3.1); `reduce` is the practical counterpart that keeps the
@@ -99,8 +102,34 @@ Reduction reduce(const NodeEdgeCheckableLcl& problem,
 
 /// Composes an operator step with a label reduction: the reduced problem's
 /// label `l` means whatever the representative pre-reduction label meant.
-/// This is how the engine (and the fuzzer's differential oracles) keep the
-/// sequence computable while preserving the Lemma 3.9 lifting data.
+/// `reduce_step(apply_r(pi))` is the definition `speedup_step` computes
+/// without building the unreduced problem; the parity tests and the fuzzer's
+/// `step-parity` oracle compare the two.
 ReStep reduce_step(ReStep step, ReKernel kernel = ReKernel::kMask);
+
+/// The support-fixpoint pruning of a problem (the automata-theoretic
+/// pruning of arXiv 2002.07659).
+struct TrimmedProblem {
+  /// Output labels that occur in no correct solution on any instance.
+  std::size_t dead_labels = 0;
+  /// Nothing survives: no graph with an edge admits a correct solution
+  /// (lint's L020). `problem` is then empty.
+  bool trivially_unsolvable = false;
+  /// For each surviving label, its label in the input problem.
+  std::vector<Label> new_to_old;
+  /// The pruned problem, named like the input with each survivor under its
+  /// old name; the input itself (sharing its tables) when no label died.
+  NodeEdgeCheckableLcl problem;
+};
+
+/// The pre-flight of `SpeedupEngine::run` and of both classifiers:
+/// `reduce()`'s trim pass alone, run to its fixpoint on the problem's
+/// tables, under the `re/preflight` span (arg `dead_labels`). It finds the
+/// same dead labels, L020 verdict, `new_to_old` and pruned problem as
+/// `lint::prune_problem`, without converting the problem to a spec. The
+/// pruned problem has the input's solvability, round complexity and
+/// 0-round verdicts on every instance, since dead labels occur in no
+/// correct solution.
+TrimmedProblem preflight_trim(const NodeEdgeCheckableLcl& problem);
 
 }  // namespace lcl

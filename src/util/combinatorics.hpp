@@ -41,15 +41,17 @@ bool for_each_selection(
 std::vector<std::uint32_t> sorted_multiset(std::vector<std::uint32_t> labels);
 
 /// Invokes `visit(sub)` for every non-empty submask of `mask`, in strictly
-/// decreasing numeric order, via the classic subset walk
-/// `sub = (sub - 1) & mask` - `2^popcount(mask) - 1` visits, one subtract
-/// and one mask each. This is the power-set enumeration primitive of the
-/// round-elimination kernel: the derived alphabet of `R(Pi)` is exactly
-/// the non-empty submasks of the full base word, and `g`-compatible derived
-/// labels are exactly the non-empty submasks of `g_Pi(l)`.
+/// increasing numeric order, via the upward subset walk
+/// `sub = (sub - mask) & mask` from 0 - `2^popcount(mask) - 1` visits, one
+/// subtract and one mask each. This is the power-set enumeration primitive
+/// of the round-elimination kernel: the derived alphabet of `R(Pi)` is
+/// exactly the non-empty submasks of the full base word, and `g`-compatible
+/// derived labels are exactly the non-empty submasks of `g_Pi(l)`; walking
+/// upwards hands both lists over already sorted.
 template <typename Visit>
 inline void for_each_nonempty_submask(std::uint64_t mask, Visit&& visit) {
-  for (std::uint64_t sub = mask; sub != 0; sub = (sub - 1) & mask) {
+  for (std::uint64_t sub = (0 - mask) & mask; sub != 0;
+       sub = (sub - mask) & mask) {
     visit(sub);
   }
 }

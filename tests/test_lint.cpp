@@ -9,8 +9,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "batch/survey.hpp"
 #include "classify/cycle_classifier.hpp"
 #include "classify/path_classifier.hpp"
 #include "core/brute_force.hpp"
@@ -26,6 +28,7 @@
 #include "lint/spec_io.hpp"
 #include "local/view.hpp"
 #include "re/engine.hpp"
+#include "re/reduce.hpp"
 
 namespace lcl {
 namespace {
@@ -425,6 +428,130 @@ TEST(LintClassifierPreflight, PathClassUnchangedUnderJunk) {
   const auto pruned = classify_on_paths(junked);
   EXPECT_EQ(pruned.complexity, clean.complexity);
   EXPECT_EQ(pruned.pruned_labels, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The table pre-flight: the engine and both classifiers run reduce's trim
+// pass (`preflight_trim`) where they used to lint a spec; it must find what
+// `lint::prune_problem` finds.
+
+/// Empty when `preflight_trim` and `lint::prune_problem` agree on `p` - dead
+/// labels, the L020 verdict, `new_to_old` and, without L020, the pruned
+/// problem with its name and label names; otherwise what differs.
+std::string preflight_difference(const NodeEdgeCheckableLcl& p) {
+  LintOptions options;
+  options.zero_round = false;
+  const auto pruned = lint::prune_problem(p, options);
+  const TrimmedProblem trimmed = preflight_trim(p);
+  if (trimmed.dead_labels != pruned.report.dead_labels) {
+    return std::to_string(trimmed.dead_labels) + " vs " +
+           std::to_string(pruned.report.dead_labels) + " dead labels";
+  }
+  if (trimmed.trivially_unsolvable != pruned.report.trivially_unsolvable) {
+    return "L020 verdicts differ";
+  }
+  if (trimmed.new_to_old != pruned.report.new_to_old) {
+    return "new_to_old differs";
+  }
+  if (trimmed.trivially_unsolvable) return {};
+  const auto& a = trimmed.problem;
+  const auto& b = pruned.problem;
+  if (a.name() != b.name()) return "name '" + a.name() + "' vs '" + b.name();
+  if (a.output_alphabet().size() != b.output_alphabet().size()) {
+    return "output alphabet sizes differ";
+  }
+  for (Label l = 0; l < a.output_alphabet().size(); ++l) {
+    if (a.output_alphabet().name(l) != b.output_alphabet().name(l)) {
+      return "label " + std::to_string(l) + " is named differently";
+    }
+  }
+  if (!same_constraints(a, b)) return "constraints differ";
+  return {};
+}
+
+TEST(TablePreflight, MatchesLintPruneOnEveryExhaustiveMember) {
+  std::size_t members = 0;
+  std::size_t with_dead_labels = 0;
+  for (const auto& [degree, labels] :
+       {std::pair{2, 2}, std::pair{2, 3}, std::pair{3, 2}, std::pair{4, 2}}) {
+    batch::ExhaustiveFamilyOptions options;
+    options.max_degree = degree;
+    options.labels = static_cast<std::size_t>(labels);
+    for (const auto& member : batch::exhaustive_family(options).members) {
+      const std::string difference = preflight_difference(member.problem);
+      ASSERT_TRUE(difference.empty()) << member.name << ": " << difference;
+      ++members;
+      if (preflight_trim(member.problem).dead_labels > 0) ++with_dead_labels;
+    }
+  }
+  EXPECT_EQ(members, 4340u);
+  // The families exercise the pruning, not just the no-op path.
+  EXPECT_EQ(with_dead_labels, 1240u);
+}
+
+TEST(TablePreflight, MatchesLintOnHandBuiltProblems) {
+  // L020 three ways: every label dies at once, an edge-less cascade, and no
+  // input permitting anything.
+  ProblemSpec edge_cascade;
+  edge_cascade.name = "edge-cascade";
+  edge_cascade.max_degree = 2;
+  edge_cascade.inputs = {"-"};
+  edge_cascade.outputs = {"a", "b"};
+  edge_cascade.node_configs = {{0}, {1}, {0, 0}};
+  edge_cascade.edge_configs = {{0, 1}};
+  edge_cascade.g = {{0}};
+  ProblemSpec no_outputs = cascade_spec();
+  no_outputs.name = "no-outputs";
+  no_outputs.g = {{}};
+  // Not L020: the second input permits only a dead label and starves.
+  ProblemSpec starved = cascade_spec();
+  starved.name = "starved";
+  starved.inputs = {"x", "y"};
+  starved.g = {{0, 1}, {2}};
+
+  const std::vector<std::pair<NodeEdgeCheckableLcl, bool>> cases = {
+      {lint::build_spec(unsolvable_spec()), true},
+      {lint::build_spec(edge_cascade), true},
+      {lint::build_spec(no_outputs), true},
+      {lint::build_spec(cascade_spec()), false},
+      {lint::build_spec(starved), false},
+      {with_junk_label(problems::maximal_matching(3), "J"), false},
+  };
+  for (const auto& [problem, l020] : cases) {
+    SCOPED_TRACE(problem.name());
+    EXPECT_EQ(preflight_difference(problem), "");
+    const TrimmedProblem trimmed = preflight_trim(problem);
+    EXPECT_EQ(trimmed.trivially_unsolvable, l020);
+    EXPECT_GT(trimmed.dead_labels, 0u);
+  }
+}
+
+TEST(TablePreflight, CleanProblemsComeBackAsTheInput) {
+  const auto original = problems::mis(3);
+  const TrimmedProblem trimmed = preflight_trim(original);
+  EXPECT_EQ(trimmed.dead_labels, 0u);
+  EXPECT_FALSE(trimmed.trivially_unsolvable);
+  EXPECT_EQ(trimmed.new_to_old, (std::vector<Label>{0, 1, 2}));
+  EXPECT_EQ(&trimmed.problem.edge_configs(), &original.edge_configs());
+  EXPECT_EQ(trimmed.problem.name(), original.name());
+}
+
+TEST(StepParityOracle, IsLastInTheBankAndPassesASeedSweep) {
+  ASSERT_FALSE(fuzz::oracle_bank().empty());
+  EXPECT_EQ(std::string(fuzz::oracle_bank().back().id), "step-parity");
+  fuzz::OracleOptions oracle;
+  for (const bool wide : {false, true}) {
+    fuzz::GeneratorOptions generator;
+    generator.wide_alphabets = wide;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      const auto c = fuzz::random_case(generator, seed);
+      const auto result = fuzz::run_oracle("step-parity", c, oracle);
+      EXPECT_TRUE(result.applicable);
+      EXPECT_FALSE(result.failed)
+          << (wide ? "wide " : "") << "seed " << seed << ": "
+          << result.message;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <typeinfo>
 #include <vector>
 
 #include "batch/cache.hpp"
+#include "batch/survey.hpp"
 #include "core/lcl.hpp"
 #include "core/problems.hpp"
+#include "re/engine.hpp"
 #include "re/kernel.hpp"
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
@@ -330,6 +335,252 @@ TEST(NodeConfigIndexTest, FallsBackWhenDegreeDoesNotPack) {
   const std::vector<Label> mono(43, 0);
   EXPECT_EQ(index.allows_sorted(mono.data(), mono.size()),
             pi.node_allows(Configuration(mono)));
+}
+
+// ---------------------------------------------------------------------------
+// The fused speedup step: `speedup_step` fills working sets and reduces them
+// in place, building only psi and f(pi); its definition builds R(pi) and
+// Rbar(psi) in full and reduces the built problems.
+
+/// What one step computation produced: the level, or the type and text of
+/// the exception it threw.
+struct StepResult {
+  std::optional<SequenceLevel> level;
+  std::string error_type;
+  std::string error;
+};
+
+template <typename Compute>
+StepResult attempt_step(Compute&& compute) {
+  StepResult out;
+  try {
+    out.level = compute();
+  } catch (const std::exception& e) {
+    out.error_type = typeid(e).name();
+    out.error = e.what();
+  }
+  return out;
+}
+
+StepResult reference_step(const NodeEdgeCheckableLcl& pi,
+                          const ReLimits& limits) {
+  return attempt_step([&] {
+    SequenceLevel level;
+    level.psi = reduce_step(apply_r(pi, limits), limits.kernel);
+    level.next =
+        reduce_step(apply_rbar(level.psi.problem, limits), limits.kernel);
+    return level;
+  });
+}
+
+/// Empty when both steps have the same problem name, output-label names in
+/// order, constraints and meanings; otherwise what differs.
+std::string step_difference(const ReStep& got, const ReStep& want) {
+  const Alphabet& a = got.problem.output_alphabet();
+  const Alphabet& b = want.problem.output_alphabet();
+  if (got.problem.name() != want.problem.name()) {
+    return "name '" + got.problem.name() + "' vs '" + want.problem.name() +
+           "'";
+  }
+  if (a.size() != b.size()) {
+    return std::to_string(a.size()) + " vs " + std::to_string(b.size()) +
+           " labels";
+  }
+  for (Label l = 0; l < a.size(); ++l) {
+    if (a.name(l) != b.name(l)) {
+      return "label " + std::to_string(l) + " '" + a.name(l) + "' vs '" +
+             b.name(l) + "'";
+    }
+  }
+  if (!same_constraints(got.problem, want.problem)) return "constraints";
+  if (got.meaning != want.meaning) return "meanings";
+  return {};
+}
+
+/// Empty when every label of `step` is named after its meaning, the set of
+/// `base` labels it denotes (Definitions 3.1/3.2); otherwise the first that
+/// is not.
+std::string misnamed_label(const ReStep& step, const Alphabet& base) {
+  const Alphabet& names = step.problem.output_alphabet();
+  for (Label l = 0; l < names.size(); ++l) {
+    const std::string want = step.meaning[l].to_string(
+        [&base](std::uint32_t b) { return base.name(b); });
+    if (names.name(l) != want) {
+      return "label " + std::to_string(l) + " is named '" + names.name(l) +
+             "' but means '" + want + "'";
+    }
+  }
+  return {};
+}
+
+/// Runs `speedup_step` and its definition side by side from `pi` for up to
+/// `steps` steps; returns the first difference, or empty. The definition
+/// runs inline: the operators build the same problem for every `jobs`
+/// value (`ParallelEnumerationIsDeterministic`), and a pool per operator
+/// phase would double the cost of the jobs=4 runs.
+std::string first_step_difference(NodeEdgeCheckableLcl pi,
+                                  const ReLimits& limits, int steps) {
+  ReLimits inline_limits = limits;
+  inline_limits.jobs = 1;
+  for (int step = 0; step < steps; ++step) {
+    const std::string at = pi.name() + " step " + std::to_string(step) + ": ";
+    const StepResult got =
+        attempt_step([&] { return speedup_step(pi, limits); });
+    const StepResult want = reference_step(pi, inline_limits);
+    if (!got.level || !want.level) {
+      if (got.level || want.level || got.error_type != want.error_type ||
+          got.error != want.error) {
+        return at + "threw '" + got.error + "' (" + got.error_type +
+               "), the reference '" + want.error + "' (" + want.error_type +
+               ")";
+      }
+      return {};
+    }
+    const SequenceLevel& level = *got.level;
+    std::string d = step_difference(level.psi, want.level->psi);
+    if (d.empty()) d = misnamed_label(level.psi, pi.output_alphabet());
+    if (!d.empty()) return at + "psi: " + d;
+    d = step_difference(level.next, want.level->next);
+    if (d.empty()) {
+      d = misnamed_label(level.next, level.psi.problem.output_alphabet());
+    }
+    if (!d.empty()) return at + "f(pi): " + d;
+    pi = got.level->next.problem;
+  }
+  return {};
+}
+
+std::vector<NodeEdgeCheckableLcl> canonical_battery() {
+  return {problems::trivial(3),
+          problems::coloring(3, 2),
+          problems::coloring(3, 3),
+          problems::two_coloring(2),
+          problems::mis(3),
+          problems::maximal_matching(3),
+          problems::sinkless_orientation(3),
+          problems::any_orientation(3),
+          problems::edge_coloring(3, 2),
+          problems::forbidden_color(4, 2),
+          problems::perfect_matching(3),
+          problems::weak_coloring(2, 3),
+          problems::threshold_band(6, 1),
+          problems::threshold_band(64, 8)};
+}
+
+/// "battery", or the exhaustive family "d<max degree>l<labels>", or its
+/// slice "d<max degree>l<labels>s<k>": every fourth member from member k.
+std::vector<NodeEdgeCheckableLcl> family_problems(const std::string& family) {
+  if (family == "battery") return canonical_battery();
+  batch::ExhaustiveFamilyOptions options;
+  options.max_degree = family[1] - '0';
+  options.labels = static_cast<std::size_t>(family[3] - '0');
+  const auto members = batch::exhaustive_family(options).members;
+  const std::size_t first = family.size() > 4 ? family[5] - '0' : 0;
+  const std::size_t stride = family.size() > 4 ? 4 : 1;
+  std::vector<NodeEdgeCheckableLcl> problems;
+  for (std::size_t i = first; i < members.size(); i += stride) {
+    problems.push_back(members[i].problem);
+  }
+  return problems;
+}
+
+class FusedStepParity
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, ReKernel, std::size_t>> {};
+
+TEST_P(FusedStepParity, SpeedupStepMatchesTheReferenceComposition) {
+  const auto& [family, kernel, jobs] = GetParam();
+  ReLimits limits = with_kernel(kernel);
+  limits.jobs = jobs;
+  std::size_t checked = 0;
+  for (const auto& pi : family_problems(family)) {
+    const std::string difference = first_step_difference(pi, limits, 3);
+    ASSERT_TRUE(difference.empty()) << difference;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesKernelsJobs, FusedStepParity,
+    // Delta=2 l=3 runs as four slices, so its 3969 members spread over
+    // ctest's workers.
+    ::testing::Combine(::testing::Values("battery", "d2l2", "d2l3s0",
+                                         "d2l3s1", "d2l3s2", "d2l3s3", "d3l2"),
+                       ::testing::Values(ReKernel::kMask, ReKernel::kGeneric),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) == ReKernel::kMask ? "_mask"
+                                                         : "_generic") +
+             "_jobs" + std::to_string(std::get<2>(info.param));
+    });
+
+// A two-input problem whose second input permits no output label: both
+// `lint::build_spec` and reduce's build accept such a problem, but
+// `Builder::build` rejects the `R` it derives, whose `g` row for that input
+// is empty too.
+NodeEdgeCheckableLcl starved_second_input() {
+  NodeEdgeCheckableLcl::Builder b("starved", Alphabet({"free", "none"}),
+                                  Alphabet({"a", "b"}), 2);
+  b.allow_unsatisfiable_inputs();
+  b.allow_node({0}).allow_node({1}).allow_node({0, 1});
+  b.allow_edge(0, 1).allow_edge(1, 1);
+  b.allow_all_outputs_for_input(0);
+  return b.build();
+}
+
+constexpr const char* kStarvedMessage =
+    "Builder::build: input label 'none' permits no output label; call "
+    "allow_output_for_input / unrestricted_inputs";
+
+TEST(FusedStepErrors, EmptyGRowOfTheUnbuiltProblemThrowsBuildersError) {
+  const auto pi = starved_second_input();
+  try {
+    speedup_step(pi, ReLimits{});
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()), kStarvedMessage);
+  }
+  // The reference composition fails the same way, in its R build.
+  EXPECT_EQ(reference_step(pi, ReLimits{}).error, kStarvedMessage);
+
+  // The engine lets the error escape, as a failed build always has.
+  SpeedupEngine engine(pi);
+  try {
+    engine.run(SpeedupEngine::Options{});
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()), kStarvedMessage);
+  }
+
+  // A survey records it as the member's error.
+  batch::Family family;
+  family.members.push_back({"starved", pi});
+  const auto report = batch::run_survey(family, batch::SurveyOptions{});
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].error, kStarvedMessage);
+  EXPECT_EQ(report.errors, 1u);
+}
+
+TEST(FusedStepErrors, TrimmingMessageNamesTheUnreducedProblem) {
+  // R(pi) keeps {a} (the only label with an edge partner), but every node
+  // configuration of R(pi) pairs it with a dropped label.
+  NodeEdgeCheckableLcl::Builder b("pi", Alphabet({"-"}), Alphabet({"a", "b"}),
+                                  2);
+  b.allow_node({0, 1}).allow_edge(0, 0).unrestricted_inputs();
+  const auto pi = b.build();
+  const std::string expected =
+      "reduce: trimming emptied the constraints of 'R(pi)' - the problem is "
+      "unsolvable on any graph with an edge (Builder::build: no node "
+      "configuration added)";
+  try {
+    speedup_step(pi, ReLimits{});
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  EXPECT_EQ(reference_step(pi, ReLimits{}).error, expected);
 }
 
 }  // namespace

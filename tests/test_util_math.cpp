@@ -197,7 +197,7 @@ TEST(ForEachNonemptySubmask, VisitsEveryNonemptySubmaskOnce) {
     std::set<std::uint64_t> unique(visited.begin(), visited.end());
     ASSERT_EQ(unique.size(), visited.size());
     for (std::size_t i = 0; i + 1 < visited.size(); ++i) {
-      ASSERT_GT(visited[i], visited[i + 1]);  // strictly decreasing
+      ASSERT_LT(visited[i], visited[i + 1]);  // strictly increasing
     }
     for (const std::uint64_t sub : visited) {
       ASSERT_NE(sub, 0u);

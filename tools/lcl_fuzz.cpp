@@ -51,9 +51,10 @@ int usage(std::ostream& out, int code) {
          "                         (default; lint codes land in the case\n"
          "                         note), or reject (redraw)\n"
          "  --wide-alphabets       draw 64-130 label alphabets with a small\n"
-         "                         live core (exercises the multi-word mask\n"
-         "                         tiers; pairs well with --oracle=synthesis\n"
-         "                         or --oracle=lift-soundness)\n"
+         "                         live core (exercises the pre-flight's\n"
+         "                         pruning and reduce() past one 64-label\n"
+         "                         word; pairs well with --oracle=synthesis,\n"
+         "                         lift-soundness or step-parity)\n"
          "  --no-shrink            keep failing cases unminimized\n"
          "  --inject-bug=NAME      fault injection (drop-rbar-config)\n"
          "  --replay=FILE_OR_DIR   replay saved case(s) instead of fuzzing\n"
