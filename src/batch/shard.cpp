@@ -367,28 +367,13 @@ MergeResult merge_shard_reports(const std::vector<json::Value>& docs) {
     throw MergeConflictError(msg.str());
   }
 
-  // Rebuild the aggregate columns exactly like run_survey does, then the
-  // rendered report is byte-identical to a single-pool run.
+  // Rebuild the aggregate columns through the same function run_survey
+  // uses, so the rendered report is byte-identical to a single-pool run.
   merged.problems = members_total;
-  merged.outcomes.reserve(by_key.size());
-  for (auto& [key, outcome] : by_key) {
-    merged.outcomes.push_back(std::move(outcome));
-  }
-  for (const auto& outcome : merged.outcomes) {
-    ++merged.class_counts[outcome.landscape_class];
-    merged.class_exemplars.emplace(outcome.landscape_class, outcome.name);
-    if (!outcome.error.empty()) ++merged.errors;
-  }
-  {
-    std::vector<std::string> keys;
-    keys.reserve(merged.outcomes.size());
-    for (const auto& outcome : merged.outcomes) {
-      if (!outcome.canonical_key.empty()) keys.push_back(outcome.canonical_key);
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    merged.canonical_classes = keys.size();
-  }
+  std::vector<ProblemOutcome> rows;
+  rows.reserve(by_key.size());
+  for (auto& [key, outcome] : by_key) rows.push_back(std::move(outcome));
+  merged.set_outcomes(std::move(rows));
 
   result.report = std::move(merged);
   result.manifests.reserve(shards.size());

@@ -496,27 +496,30 @@ SurveyReport run_survey(const Family& family, const SurveyOptions& options) {
   }
 
   // Canonical order: the report is byte-identical for any thread count.
-  std::sort(outcomes.begin(), outcomes.end(),
+  report.set_outcomes(std::move(outcomes));
+  return report;
+}
+
+void SurveyReport::set_outcomes(std::vector<ProblemOutcome> rows) {
+  std::sort(rows.begin(), rows.end(),
             [](const ProblemOutcome& a, const ProblemOutcome& b) {
               return a.key < b.key;
             });
-  for (const auto& outcome : outcomes) {
-    ++report.class_counts[outcome.landscape_class];
-    report.class_exemplars.emplace(outcome.landscape_class, outcome.name);
-    if (!outcome.error.empty()) ++report.errors;
+  class_counts.clear();
+  class_exemplars.clear();
+  errors = 0;
+  std::vector<std::string> keys;
+  keys.reserve(rows.size());
+  for (const auto& outcome : rows) {
+    ++class_counts[outcome.landscape_class];
+    class_exemplars.emplace(outcome.landscape_class, outcome.name);
+    if (!outcome.error.empty()) ++errors;
+    if (!outcome.canonical_key.empty()) keys.push_back(outcome.canonical_key);
   }
-  {
-    std::vector<std::string> keys;
-    keys.reserve(outcomes.size());
-    for (const auto& outcome : outcomes) {
-      if (!outcome.canonical_key.empty()) keys.push_back(outcome.canonical_key);
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    report.canonical_classes = keys.size();
-  }
-  report.outcomes = std::move(outcomes);
-  return report;
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  canonical_classes = keys.size();
+  outcomes = std::move(rows);
 }
 
 json::Value SurveyReport::to_json_value() const {

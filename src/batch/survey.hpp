@@ -155,6 +155,12 @@ struct SurveyReport {
   /// hits).
   std::size_t canonical_classes = 0;
 
+  /// Stores `rows` sorted by canonical key and recomputes `class_counts`,
+  /// `class_exemplars`, `errors` and `canonical_classes` from them.
+  /// `run_survey` and the shard merge both end here, so a merged report is
+  /// byte-identical to a single-pool one.
+  void set_outcomes(std::vector<ProblemOutcome> rows);
+
   obs::json::Value to_json_value() const;
   std::string to_json() const;
 };

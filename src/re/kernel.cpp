@@ -1,59 +1,17 @@
 #include "re/kernel.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <future>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "batch/pool.hpp"
 #include "re/working_set.hpp"
 #include "util/combinatorics.hpp"
 
 namespace lcl {
-
-NodeConfigIndex::NodeConfigIndex(const NodeEdgeCheckableLcl& pi) : pi_(&pi) {
-  const std::size_t n = pi.output_alphabet().size();
-  bits_per_label_ =
-      n <= 1 ? 1u : static_cast<unsigned>(std::bit_width(n - 1));
-  packed1_.resize(static_cast<std::size_t>(pi.max_degree()) + 1);
-  packed2_.resize(static_cast<std::size_t>(pi.max_degree()) + 1);
-  for (int d = 1; d <= pi.max_degree(); ++d) {
-    const auto degree = static_cast<std::size_t>(d);
-    const std::size_t words = packed_words(degree);
-    if (words == 0) continue;
-    const auto& configs = pi.node_configs(d);
-    if (words == 1) {
-      auto& keys = packed1_[degree];
-      keys.reserve(configs.size() * 2);
-      for (const auto& config : configs) {
-        // Configuration stores its labels in canonical ascending order, so
-        // the stored key matches what `allows_sorted` packs for a probe.
-        keys.insert(pack1(config.labels().data(), config.size()));
-      }
-    } else {
-      auto& keys = packed2_[degree];
-      keys.reserve(configs.size() * 2);
-      for (const auto& config : configs) {
-        keys.insert(pack2(config.labels().data(), config.size()));
-      }
-    }
-  }
-}
-
-bool NodeConfigIndex::allows_sorted(const Label* labels,
-                                    std::size_t degree) const {
-  switch (degree < packed1_.size() ? packed_words(degree) : 0) {
-    case 1:
-      return packed1_[degree].contains(pack1(labels, degree));
-    case 2:
-      return packed2_[degree].contains(pack2(labels, degree));
-    default:
-      return pi_->node_allows(
-          Configuration(std::vector<Label>(labels, labels + degree)));
-  }
-}
 
 namespace re_kernel {
 
@@ -144,9 +102,10 @@ bool exists_selection_mask(const std::vector<Label>& flat_configs,
 
 /// Mask variant of the FORALL quantifier: walks the cartesian product of
 /// the slot words' set bits, canonicalizes each selection by insertion sort
-/// into `sorted` (degrees are tiny), and probes the packed memo; aborts on
-/// the first disallowed selection.
-bool all_selections_mask(const NodeConfigIndex& index,
+/// into `sorted` (degrees are tiny), and looks it up in `allowed`, the base
+/// problem's configurations of this degree; aborts on the first disallowed
+/// selection.
+bool all_selections_mask(const DegreeConfigs& allowed,
                          const std::uint64_t* slots, std::size_t degree,
                          Label* selection, Label* sorted) {
   const auto walk = [&](auto&& self, std::size_t slot) -> bool {
@@ -160,7 +119,7 @@ bool all_selections_mask(const NodeConfigIndex& index,
         }
         sorted[j] = l;
       }
-      return index.allows_sorted(sorted, degree);
+      return allowed.contains(sorted);
     }
     for (std::uint64_t word = slots[slot]; word != 0; word &= word - 1) {
       selection[slot] = static_cast<Label>(std::countr_zero(word));
@@ -172,69 +131,22 @@ bool all_selections_mask(const NodeConfigIndex& index,
 }
 
 /// Advances `idx` to the lexicographically next non-decreasing tuple over
-/// `{floor, .., limit-1}` whose FIRST entry stays fixed; returns false when
-/// the suffix is exhausted. With `floor = 0` and a free first entry this is
-/// the order of `enumerate_multisets` without materializing it.
-bool next_multiset_suffix(std::vector<std::uint32_t>& idx, std::uint32_t limit,
-                          std::size_t first_free) {
+/// `{0, .., limit-1}`; returns false after the last one. From the all-zero
+/// tuple this is the order of `enumerate_multisets` without materializing
+/// it.
+bool next_multiset(std::vector<Label>& idx, Label limit) {
   std::size_t pos = idx.size();
-  while (pos > first_free && idx[pos - 1] == limit - 1) --pos;
-  if (pos <= first_free) return false;
-  const std::uint32_t next = idx[pos - 1] + 1;
+  while (pos > 0 && idx[pos - 1] == limit - 1) --pos;
+  if (pos == 0) return false;
+  const Label next = idx[pos - 1] + 1;
   for (std::size_t i = pos - 1; i < idx.size(); ++i) idx[i] = next;
   return true;
 }
 
-/// Contiguous near-even split of `[begin, end)` into at most `parts`
-/// non-empty chunks, in order.
-std::vector<std::pair<std::uint64_t, std::uint64_t>> split_range(
-    std::uint64_t begin, std::uint64_t end, std::size_t parts) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;
-  if (begin >= end) return chunks;
-  const std::uint64_t total = end - begin;
-  const std::uint64_t count =
-      std::min<std::uint64_t>(total, parts == 0 ? 1 : parts);
-  chunks.reserve(static_cast<std::size_t>(count));
-  std::uint64_t at = begin;
-  for (std::uint64_t c = 0; c < count; ++c) {
-    const std::uint64_t size = total / count + (c < total % count ? 1 : 0);
-    chunks.emplace_back(at, at + size);
-    at += size;
-  }
-  return chunks;
-}
-
-/// Runs `task(chunk)` over every chunk and feeds the results to
-/// `merge(chunk_result)` in chunk order. With `jobs <= 1` everything runs
-/// inline; otherwise the tasks fan out across a `batch::Pool` and the merge
-/// consumes the futures in submission order - either way `merge` sees the
-/// same results in the same order, which is what makes the parallel
-/// enumeration deterministic.
-template <typename Chunk, typename Task, typename Merge>
-void run_deterministic(const std::vector<Chunk>& chunks, std::size_t jobs,
-                       Task&& task, Merge&& merge) {
-  if (jobs <= 1 || chunks.size() <= 1) {
-    for (const auto& chunk : chunks) merge(task(chunk));
-    return;
-  }
-  batch::Pool pool(batch::Pool::Options{jobs});
-  using Result = decltype(task(chunks.front()));
-  std::vector<std::future<Result>> futures;
-  futures.reserve(chunks.size());
-  for (const auto& chunk : chunks) {
-    futures.push_back(pool.submit([&task, &chunk]() { return task(chunk); }));
-  }
-  for (auto& future : futures) merge(future.get());
-}
-
-/// How many chunks to cut an outer loop into: enough that the skewed low
-/// ends (first-index partitions shrink as the index grows) balance out.
-constexpr std::size_t kChunksPerJob = 16;
-
 }  // namespace
 
 void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
-               bool exists_node, std::size_t jobs) {
+               bool exists_node) {
   const std::size_t base = pi.output_alphabet().size();
   // The derived label indices (2^base - 1 of them) must fit one word; the
   // public operators' alphabet guard rejects such bases long before
@@ -247,7 +159,6 @@ void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
     throw std::invalid_argument(os.str());
   }
   const std::uint64_t label_count = (std::uint64_t{1} << base) - 1;
-  const std::size_t chunk_target = jobs <= 1 ? 1 : jobs * kChunksPerJob;
 
   // Per-base-label edge partner words. A built problem has at least one
   // output label, and every base-label set is one word (base < 63).
@@ -271,54 +182,34 @@ void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
   // forall_partners(B1), a symmetric relation) the allowed partners of B1
   // are exactly the non-empty submasks of its FORALL word - an upward
   // subset walk visits just those, in ascending order, instead of testing
-  // every pair. For Rbar one AND decides each pair. The outer row loop
-  // partitions into contiguous chunks; each task collects its allowed pairs
-  // into a flat arena, merged in chunk order.
-  {
-    const auto chunks = split_range(1, label_count + 1, chunk_target);
-    const auto edge_task =
-        [&](const std::pair<std::uint64_t, std::uint64_t>& chunk) {
-          std::vector<std::pair<Label, Label>> allowed;
-          for (std::uint64_t mi = chunk.first; mi < chunk.second; ++mi) {
-            if (exists_node) {
-              for_each_nonempty_submask(forall[mi], [&](std::uint64_t sub) {
-                if (sub >= mi) {
-                  allowed.emplace_back(static_cast<Label>(mi - 1),
-                                       static_cast<Label>(sub - 1));
-                }
-              });
-            } else {
-              const std::uint64_t any = exists[mi];
-              for (std::uint64_t mj = mi; mj <= label_count; ++mj) {
-                if ((mj & any) != 0) {
-                  allowed.emplace_back(static_cast<Label>(mi - 1),
-                                       static_cast<Label>(mj - 1));
-                }
-              }
-            }
-          }
-          return allowed;
-        };
-    run_deterministic(chunks, jobs, edge_task,
-                      [&](const std::vector<std::pair<Label, Label>>& pairs) {
-                        for (const auto& [a, b] : pairs) ws.add_edge(a, b);
-                      });
+  // every pair. For Rbar one AND decides each pair.
+  for (std::uint64_t mi = 1; mi <= label_count; ++mi) {
+    if (exists_node) {
+      for_each_nonempty_submask(forall[mi], [&](std::uint64_t sub) {
+        if (sub >= mi) {
+          ws.add_edge(static_cast<Label>(mi - 1), static_cast<Label>(sub - 1));
+        }
+      });
+    } else {
+      const std::uint64_t any = exists[mi];
+      for (std::uint64_t mj = mi; mj <= label_count; ++mj) {
+        if ((mj & any) != 0) {
+          ws.add_edge(static_cast<Label>(mi - 1), static_cast<Label>(mj - 1));
+        }
+      }
+    }
   }
 
   // Node constraint per degree: walk the non-decreasing index tuples in
   // enumerate_multisets order (without materializing them) and evaluate the
-  // quantifier on the slot words. Derived label i IS the mask i + 1. The
-  // walk partitions by the tuple's first index: a task owns the contiguous
-  // first-index range [chunk.first, chunk.second) and appends each allowed
-  // multiset to its flat arena (degree labels per row); arenas merge in
-  // chunk order, reproducing the serial enumeration order exactly.
-  NodeConfigIndex index(pi);
+  // quantifier on the slot words. Derived label i IS the mask i + 1.
   for (int d = 1; d <= pi.max_degree(); ++d) {
     const auto degree = static_cast<std::size_t>(d);
-    // The EXISTS matching iterates the stored configurations; copy them
-    // once into one flat row-per-config array so the inner loop is a
-    // contiguous scan.
+    // R's EXISTS matching scans the stored configurations, copied once into
+    // one flat row-per-config array; Rbar's FORALL probe looks selections
+    // up in them packed.
     std::vector<Label> flat_configs;
+    std::optional<DegreeConfigs> allowed;
     if (exists_node) {
       const auto& stored = pi.node_configs(d);
       flat_configs.reserve(stored.size() * degree);
@@ -326,45 +217,25 @@ void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
         flat_configs.insert(flat_configs.end(), config.labels().begin(),
                             config.labels().end());
       }
+    } else {
+      allowed.emplace(pi, degree);
     }
-    const auto chunks = split_range(0, label_count, chunk_target);
-    const auto node_task =
-        [&](const std::pair<std::uint64_t, std::uint64_t>& chunk) {
-          std::vector<Label> arena;
-          std::vector<std::uint32_t> idx(degree);
-          std::vector<std::uint64_t> slots(degree);
-          std::vector<char> used(degree, 0);
-          std::vector<Label> selection(degree);
-          std::vector<Label> sorted(degree);
-          for (std::uint64_t first = chunk.first; first < chunk.second;
-               ++first) {
-            std::fill(idx.begin(), idx.end(),
-                      static_cast<std::uint32_t>(first));
-            do {
-              for (std::size_t t = 0; t < degree; ++t) {
-                slots[t] = static_cast<std::uint64_t>(idx[t]) + 1;
-              }
-              const bool allowed =
-                  exists_node
-                      ? exists_selection_mask(flat_configs, slots.data(),
+    std::vector<Label> idx(degree, 0);
+    std::vector<std::uint64_t> slots(degree);
+    std::vector<char> used(degree, 0);
+    std::vector<Label> selection(degree);
+    std::vector<Label> sorted(degree);
+    do {
+      for (std::size_t t = 0; t < degree; ++t) {
+        slots[t] = std::uint64_t{idx[t]} + 1;
+      }
+      if (exists_node ? exists_selection_mask(flat_configs, slots.data(),
                                               degree, used.data())
-                      : all_selections_mask(index, slots.data(), degree,
-                                            selection.data(), sorted.data());
-              if (allowed) {
-                arena.insert(arena.end(), idx.begin(), idx.end());
-              }
-            } while (next_multiset_suffix(
-                idx, static_cast<std::uint32_t>(label_count), 1));
-          }
-          return arena;
-        };
-    run_deterministic(chunks, jobs, node_task,
-                      [&](const std::vector<Label>& arena) {
-                        for (std::size_t at = 0; at < arena.size();
-                             at += degree) {
-                          ws.add_node(degree, arena.data() + at);
-                        }
-                      });
+                      : all_selections_mask(*allowed, slots.data(), degree,
+                                            selection.data(), sorted.data())) {
+        ws.add_node(degree, idx.data());
+      }
+    } while (next_multiset(idx, static_cast<Label>(label_count)));
   }
 
   // g: the derived labels compatible with input l are exactly the

@@ -77,7 +77,7 @@ ReStep apply(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
 
     ws.emplace(label_count, pi.input_alphabet().size(), pi.max_degree());
     if (use_mask) {
-      fill_mask(*ws, pi, exists_node, limits.jobs);
+      fill_mask(*ws, pi, exists_node);
     } else {
       fill_generic(*ws, pi, exists_node);
     }

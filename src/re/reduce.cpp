@@ -1,7 +1,6 @@
 #include "re/reduce.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -17,10 +16,6 @@ namespace lcl {
 namespace {
 
 constexpr Label kDropped = Reduction::kDropped;
-
-unsigned label_bits(std::size_t labels) {
-  return labels <= 1 ? 1u : static_cast<unsigned>(std::bit_width(labels - 1));
-}
 
 }  // namespace
 
@@ -38,11 +33,7 @@ WorkingSet::WorkingSet(std::size_t labels, std::size_t inputs, int max_degree)
 WorkingSet::WorkingSet(const NodeEdgeCheckableLcl& p)
     : WorkingSet(p.output_alphabet().size(), p.input_alphabet().size(),
                  p.max_degree()) {
-  for (auto& configs : node_) {
-    for (const auto& c : p.node_configs(static_cast<int>(configs.degree()))) {
-      configs.add(c.labels().data());
-    }
-  }
+  for (auto& configs : node_) configs = DegreeConfigs(p, configs.degree());
   for (const auto& c : p.edge_configs()) edges_.emplace_back(c[0], c[1]);
   for (Label in = 0; in < inputs_; ++in) {
     g_[in] = p.allowed_outputs(in).to_vector();

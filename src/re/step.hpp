@@ -40,7 +40,7 @@ enum class ReKernel {
   /// *is* the mask `i + 1` over the base labels (the alphabet guard rejects
   /// bases of 63 or more labels before enumeration), support tests are
   /// ANDs, power sets are subset walks, and node-configuration membership
-  /// goes through a packed canonical-form memo. `reduce()`'s domination
+  /// is a binary search over sorted packed keys. `reduce()`'s domination
   /// relation ANDs one `ceil(n / 64)`-word holder mask per label feature.
   kMask,
   /// The original ordered-container enumeration over `LabelSet`s and the
@@ -59,15 +59,10 @@ struct ReLimits {
   /// Implementation selector (`kGeneric` only for reference runs); rides
   /// along with the budgets so that every caller threading `ReLimits`
   /// (engine, batch surveys, fuzz oracles) picks the kernel up
-  /// transparently, `reduce()` included.
+  /// transparently, `reduce()` included. Either kernel fills on the calling
+  /// thread; parallelism lives one level up, across survey members and
+  /// service requests.
   ReKernel kernel = ReKernel::kMask;
-  /// Worker threads for the operators' outer configuration enumeration
-  /// (node-constraint multiset walk and edge-constraint rows). 1 = run
-  /// inline on the calling thread; N > 1 partitions the enumeration across
-  /// a `batch::Pool` and merges the per-worker results in deterministic
-  /// order, so the built problem is byte-identical for every jobs value
-  /// (fenced by the `--jobs=1` vs `--jobs=4` determinism test).
-  std::size_t jobs = 1;
 };
 
 }  // namespace lcl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -34,17 +35,38 @@ void sort_unique(std::vector<T>& list) {
   list.erase(std::unique(list.begin(), list.end()), list.end());
 }
 
+/// Bits per label when configurations over `labels` labels are packed.
+inline unsigned label_bits(std::size_t labels) {
+  return labels <= 1 ? 1u : static_cast<unsigned>(std::bit_width(labels - 1));
+}
+
 /// The allowed node configurations of one degree: sorted, duplicate-free
 /// multisets of output labels. A configuration packs into one 64-bit key
-/// when `degree * bits` fits a word - `NodeConfigIndex`'s packing, first
-/// label most significant, so key order is the lexicographic order of the
-/// label vectors. Wider degrees keep label vectors.
+/// when `degree * bits` fits a word, `bits` per label with the first label
+/// most significant, so key order is the lexicographic order of the label
+/// vectors. Wider degrees keep label vectors. This is the one packing of
+/// node configurations: the working set keeps its lists in it, and `Rbar`'s
+/// mask fill looks its FORALL selections up in the base problem's
+/// configurations through it.
 class DegreeConfigs {
  public:
   DegreeConfigs(std::size_t degree, unsigned bits)
       : degree_(degree), bits_(bits), packed_(degree * bits <= 64) {}
+  /// The degree-`degree` configurations of the built problem `p`, packed
+  /// with `label_bits` of its output alphabet. A built problem keeps them
+  /// ascending and distinct, and packing keeps their order, so they need
+  /// no `finish`.
+  DegreeConfigs(const NodeEdgeCheckableLcl& p, std::size_t degree)
+      : DegreeConfigs(degree, label_bits(p.output_alphabet().size())) {
+    for (const auto& c : p.node_configs(static_cast<int>(degree))) {
+      add(c.labels().data());
+    }
+  }
 
   std::size_t degree() const { return degree_; }
+  /// True when the configurations are one-word keys, false when they are
+  /// label vectors.
+  bool packed() const { return packed_; }
   std::size_t size() const { return packed_ ? keys_.size() : wide_.size(); }
 
   /// Adds the ascending multiset `labels[0..degree)`; `finish` restores the

@@ -16,6 +16,8 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "util/parse.hpp"
+
 namespace lcl::svc {
 
 namespace {
@@ -212,18 +214,13 @@ ParsedHead parse_head(std::string_view head) {
     return out;
   }
   if (const std::string* cl = out.request.header("Content-Length")) {
-    std::size_t parsed = 0;
-    try {
-      std::size_t end = 0;
-      const unsigned long long v = std::stoull(*cl, &end);
-      if (end != cl->size()) throw std::invalid_argument(*cl);
-      parsed = static_cast<std::size_t>(v);
-    } catch (...) {
+    std::uint64_t parsed = 0;
+    if (!parse_u64(*cl, parsed)) {
       out.error_status = 400;
       out.error_message = "malformed Content-Length";
       return out;
     }
-    out.content_length = parsed;
+    out.content_length = static_cast<std::size_t>(parsed);
   }
   return out;
 }
@@ -656,10 +653,8 @@ HttpClientResponse http_request(const std::string& host, std::uint16_t port,
 
   out.body = response.substr(body_start);
   if (const std::string* cl = out.header("Content-Length")) {
-    std::size_t declared = 0;
-    try {
-      declared = static_cast<std::size_t>(std::stoull(*cl));
-    } catch (...) {
+    std::uint64_t declared = 0;
+    if (!parse_u64(*cl, declared)) {
       throw std::runtime_error("http_request: malformed Content-Length '" +
                                *cl + "'");
     }

@@ -375,6 +375,19 @@ TEST_F(ShardCliTest, FourShardMergeIsByteIdenticalAndDiffClean) {
             1);
 }
 
+TEST_F(ShardCliTest, SignedOrPaddedNumbersAreUsageErrors) {
+  // Numeric options take digits only: a sign or a blank is a usage error
+  // (exit 2), not a wrapped-around or trimmed value.
+  for (const std::string arg :
+       {"--max-steps=-1", "--max-steps=' 2'", "--max-problems=+3"}) {
+    EXPECT_EQ(run(batch_cli() + base_args() + " --jobs=1 --max-problems=3 " +
+                  arg),
+              2)
+        << arg;
+  }
+  EXPECT_EQ(run(batch_cli() + base_args() + " --jobs=1 --max-problems=3"), 0);
+}
+
 TEST_F(ShardCliTest, SurveyDiffGatesVerdictFlipsButAllowsGrowth) {
   const std::string single = dir() + "/diff-base.json";
   ASSERT_EQ(run(batch_cli() + base_args() + " --report-json=" + single), 0);

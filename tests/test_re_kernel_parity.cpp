@@ -19,6 +19,7 @@
 #include "re/operators.hpp"
 #include "re/reduce.hpp"
 #include "re/step.hpp"
+#include "re/working_set.hpp"
 
 namespace lcl {
 namespace {
@@ -230,111 +231,85 @@ TEST(ReKernelParity, KernelFallbackPastWidestTierIsCountedAndSound) {
   }
 }
 
-TEST(ReKernelParity, ParallelEnumerationIsDeterministic) {
-  // jobs=1 (inline) vs jobs=4 (pool-partitioned) must build byte-identical
-  // problems - constraints, meanings, and batch cache signatures - for both
-  // operators. The merge happens in partition order, so this holds exactly,
-  // not just up to reordering.
-  for (const auto& pi :
-       {problems::coloring(5, 3), problems::sinkless_orientation(3),
-        problems::mis(3), problems::forbidden_color(4, 2)}) {
-    for (const bool use_r : {true, false}) {
-      const auto apply = use_r ? &apply_r : &apply_rbar;
-      ReLimits serial = with_kernel(ReKernel::kMask);
-      serial.jobs = 1;
-      ReLimits parallel = with_kernel(ReKernel::kMask);
-      parallel.jobs = 4;
-      const ReStep one = apply(pi, serial);
-      const ReStep four = apply(pi, parallel);
-      SCOPED_TRACE(pi.name() + (use_r ? " / R" : " / Rbar"));
-      EXPECT_TRUE(same_constraints(one.problem, four.problem));
-      ASSERT_EQ(one.meaning.size(), four.meaning.size());
-      for (std::size_t i = 0; i < one.meaning.size(); ++i) {
-        EXPECT_EQ(one.meaning[i], four.meaning[i]);
-      }
-      EXPECT_EQ(batch::constraint_signature(one.problem),
-                batch::constraint_signature(four.problem));
-      // And the parallel result agrees with the generic baseline too.
-      const ReStep generic = apply(pi, with_kernel(ReKernel::kGeneric));
-      EXPECT_TRUE(same_constraints(generic.problem, four.problem));
-    }
+/// Every sorted multiset of `d` labels over `n` labels, in ascending order.
+template <typename Visit>
+void for_each_sorted_multiset(std::size_t n, int d, Visit&& visit) {
+  std::vector<Label> tuple(static_cast<std::size_t>(d), 0);
+  while (true) {
+    visit(tuple);
+    std::size_t pos = tuple.size();
+    while (pos > 0 && tuple[pos - 1] + 1 == n) --pos;
+    if (pos == 0) return;
+    ++tuple[pos - 1];
+    std::fill(tuple.begin() + static_cast<std::ptrdiff_t>(pos), tuple.end(),
+              tuple[pos - 1]);
   }
 }
 
-TEST(NodeConfigIndexTest, AgreesWithNodeAllowsOnAllMultisets) {
+// `Rbar`'s mask fill decides its FORALL quantifier by looking each sorted
+// selection up in the base problem's configurations, packed as a
+// `DegreeConfigs`: one-word keys while `degree * bits` fits 64 bits, label
+// vectors past that.
+
+TEST(ForallProbe, AgreesWithNodeAllowsOnAllMultisets) {
   for (const auto& pi : {problems::mis(3), problems::coloring(3, 3),
                          problems::maximal_matching(3)}) {
-    const NodeConfigIndex index(pi);
-    const std::size_t n = pi.output_alphabet().size();
     for (int d = 1; d <= pi.max_degree(); ++d) {
-      ASSERT_TRUE(index.packable(static_cast<std::size_t>(d)));
-      // Every multiset over the alphabet, in canonical sorted form.
-      std::vector<Label> tuple(static_cast<std::size_t>(d), 0);
-      while (true) {
-        std::vector<Label> sorted = tuple;
-        std::sort(sorted.begin(), sorted.end());
-        const bool expected = pi.node_allows(Configuration(sorted));
-        EXPECT_EQ(index.allows_sorted(sorted.data(), sorted.size()), expected)
-            << pi.name() << " d=" << d;
-        std::size_t pos = tuple.size();
-        while (pos > 0 && tuple[pos - 1] + 1 == n) --pos;
-        if (pos == 0) break;
-        ++tuple[pos - 1];
-        std::fill(tuple.begin() + static_cast<std::ptrdiff_t>(pos),
-                  tuple.end(), tuple[pos - 1]);
-      }
+      const DegreeConfigs probe(pi, static_cast<std::size_t>(d));
+      ASSERT_TRUE(probe.packed());
+      for_each_sorted_multiset(
+          pi.output_alphabet().size(), d, [&](const std::vector<Label>& m) {
+            EXPECT_EQ(probe.contains(m.data()),
+                      pi.node_allows(Configuration(m)))
+                << pi.name() << " d=" << d;
+          });
     }
   }
 }
 
-TEST(NodeConfigIndexTest, TwoWordKeysCoverDegreesPast64Bits) {
+TEST(ForallProbe, LabelVectorsCoverDegreesPast64Bits) {
   // 5 labels -> 3 bits per label. One word covers degrees up to 21
-  // (63 bits); the two-word tier picks up 22..42 (66..126 bits); degree 43
-  // (129 bits) is the first unpackable one.
+  // (63 bits); degree 22 (66 bits) keeps label vectors.
   const auto pi = problems::coloring(5, 22);
-  const NodeConfigIndex index(pi);
-  EXPECT_EQ(index.packed_words(21), 1u);
-  EXPECT_EQ(index.packed_words(22), 2u);
-  EXPECT_EQ(index.packed_words(42), 2u);
-  EXPECT_EQ(index.packed_words(43), 0u);
-  EXPECT_TRUE(index.packable(22));
+  EXPECT_TRUE(DegreeConfigs(pi, 21).packed());
+  const DegreeConfigs probe(pi, 22);
+  EXPECT_FALSE(probe.packed());
 
-  // Probes through the two-word tier answer exactly like node_allows.
+  // Probes through the label vectors answer exactly like node_allows.
   std::vector<Label> rainbow;
   for (Label l = 0; l < 22; ++l) rainbow.push_back(l % 5);
   std::sort(rainbow.begin(), rainbow.end());
-  EXPECT_EQ(index.allows_sorted(rainbow.data(), rainbow.size()),
+  EXPECT_EQ(probe.contains(rainbow.data()),
             pi.node_allows(Configuration(rainbow)));
   for (Label c = 0; c < 5; ++c) {
     const std::vector<Label> mono(22, c);
-    EXPECT_EQ(index.allows_sorted(mono.data(), mono.size()),
+    EXPECT_EQ(probe.contains(mono.data()),
               pi.node_allows(Configuration(mono)));
-    EXPECT_TRUE(index.allows_sorted(mono.data(), mono.size()));
+    EXPECT_TRUE(probe.contains(mono.data()));
   }
-  // Two configs differing only in the highest-order (first) label must not
-  // collide across the hi/lo word split.
+  // Two configurations differing only in the last label are told apart.
   std::vector<Label> near_mono(22, 1);
   near_mono[21] = 2;  // sorted: {1 x21, 2}
-  EXPECT_EQ(index.allows_sorted(near_mono.data(), near_mono.size()),
+  EXPECT_EQ(probe.contains(near_mono.data()),
             pi.node_allows(Configuration(near_mono)));
-  EXPECT_FALSE(index.allows_sorted(near_mono.data(), near_mono.size()));
+  EXPECT_FALSE(probe.contains(near_mono.data()));
 }
 
-TEST(NodeConfigIndexTest, FallsBackWhenDegreeDoesNotPack) {
-  // 5 labels -> 3 bits per label; degree 43 needs 129 bits, beyond even the
-  // two-word keys, so probes must still answer through the fallback.
+TEST(ForallProbe, FallsBackToLabelVectorsWhenDegreeDoesNotPack) {
+  // 5 labels -> 3 bits per label; degree 43 needs 129 bits, so probes
+  // answer from label vectors while degree 21 still packs.
   const auto pi = problems::coloring(5, 43);
-  const NodeConfigIndex index(pi);
-  EXPECT_FALSE(index.packable(43));
-  EXPECT_TRUE(index.packable(42));
+  EXPECT_TRUE(DegreeConfigs(pi, 21).packed());
+  const DegreeConfigs probe(pi, 43);
+  EXPECT_FALSE(probe.packed());
   std::vector<Label> rainbow;
   for (Label l = 0; l < 43; ++l) rainbow.push_back(l % 5);
   std::sort(rainbow.begin(), rainbow.end());
-  EXPECT_EQ(index.allows_sorted(rainbow.data(), rainbow.size()),
+  EXPECT_EQ(probe.contains(rainbow.data()),
             pi.node_allows(Configuration(rainbow)));
   const std::vector<Label> mono(43, 0);
-  EXPECT_EQ(index.allows_sorted(mono.data(), mono.size()),
-            pi.node_allows(Configuration(mono)));
+  EXPECT_EQ(probe.contains(mono.data()), pi.node_allows(Configuration(mono)));
+  EXPECT_TRUE(probe.contains(mono.data()));
 }
 
 // ---------------------------------------------------------------------------
@@ -414,19 +389,14 @@ std::string misnamed_label(const ReStep& step, const Alphabet& base) {
 }
 
 /// Runs `speedup_step` and its definition side by side from `pi` for up to
-/// `steps` steps; returns the first difference, or empty. The definition
-/// runs inline: the operators build the same problem for every `jobs`
-/// value (`ParallelEnumerationIsDeterministic`), and a pool per operator
-/// phase would double the cost of the jobs=4 runs.
+/// `steps` steps; returns the first difference, or empty.
 std::string first_step_difference(NodeEdgeCheckableLcl pi,
                                   const ReLimits& limits, int steps) {
-  ReLimits inline_limits = limits;
-  inline_limits.jobs = 1;
   for (int step = 0; step < steps; ++step) {
     const std::string at = pi.name() + " step " + std::to_string(step) + ": ";
     const StepResult got =
         attempt_step([&] { return speedup_step(pi, limits); });
-    const StepResult want = reference_step(pi, inline_limits);
+    const StepResult want = reference_step(pi, limits);
     if (!got.level || !want.level) {
       if (got.level || want.level || got.error_type != want.error_type ||
           got.error != want.error) {
@@ -485,35 +455,34 @@ std::vector<NodeEdgeCheckableLcl> family_problems(const std::string& family) {
 }
 
 class FusedStepParity
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, ReKernel, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, ReKernel>> {};
 
 TEST_P(FusedStepParity, SpeedupStepMatchesTheReferenceComposition) {
-  const auto& [family, kernel, jobs] = GetParam();
-  ReLimits limits = with_kernel(kernel);
-  limits.jobs = jobs;
+  const auto& [family, kernel] = GetParam();
   std::size_t checked = 0;
   for (const auto& pi : family_problems(family)) {
-    const std::string difference = first_step_difference(pi, limits, 3);
+    const std::string difference =
+        first_step_difference(pi, with_kernel(kernel), 3);
     ASSERT_TRUE(difference.empty()) << difference;
     ++checked;
   }
   EXPECT_GT(checked, 0u);
 }
 
+// The instance names keep the `FamiliesKernelsJobs` prefix and `_jobs1`
+// suffix of the days when the fill had a jobs axis, so each instance stays
+// comparable with its earlier runs.
 INSTANTIATE_TEST_SUITE_P(
     FamiliesKernelsJobs, FusedStepParity,
     // Delta=2 l=3 runs as four slices, so its 3969 members spread over
     // ctest's workers.
     ::testing::Combine(::testing::Values("battery", "d2l2", "d2l3s0",
                                          "d2l3s1", "d2l3s2", "d2l3s3", "d3l2"),
-                       ::testing::Values(ReKernel::kMask, ReKernel::kGeneric),
-                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+                       ::testing::Values(ReKernel::kMask, ReKernel::kGeneric)),
     [](const auto& info) {
       return std::get<0>(info.param) +
-             (std::get<1>(info.param) == ReKernel::kMask ? "_mask"
-                                                         : "_generic") +
-             "_jobs" + std::to_string(std::get<2>(info.param));
+             (std::get<1>(info.param) == ReKernel::kMask ? "_mask_jobs1"
+                                                         : "_generic_jobs1");
     });
 
 // A two-input problem whose second input permits no output label: both

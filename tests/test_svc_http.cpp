@@ -191,6 +191,20 @@ TEST(SvcHttpServer, MalformedRequestLineIs400) {
             std::string::npos);
 }
 
+TEST(SvcHttpServer, SignedContentLengthIs400) {
+  // A signed length is malformed, not huge (-1) and not 2 (+2).
+  for (const std::string length : {"-1", "+2"}) {
+    HttpServer server(echo_options());
+    ASSERT_TRUE(server.start()) << server.error();
+    RawConnection connection(server.port());
+    connection.send("POST /echo HTTP/1.1\r\nContent-Length: " + length +
+                    "\r\n\r\nab");
+    EXPECT_NE(connection.read_until_close().find("400 Bad Request"),
+              std::string::npos)
+        << "Content-Length: " << length;
+  }
+}
+
 TEST(SvcHttpServer, OversizedBodyIs413) {
   HttpServer::Options options = echo_options();
   options.max_body_bytes = 16;
@@ -590,6 +604,19 @@ TEST(SvcHttpClient, ThrowsOnOversizedResponseInsteadOfTruncating) {
     FAIL() << "expected an oversize error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SvcHttpClient, ThrowsOnMalformedContentLength) {
+  ScriptedServer server(
+      "HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n0123456789ab");
+  try {
+    http_request("127.0.0.1", server.port(), "GET", "/");
+    FAIL() << "expected a malformed Content-Length error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed Content-Length"),
+              std::string::npos)
         << e.what();
   }
 }

@@ -5,9 +5,11 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/combinatorics.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace lcl {
@@ -203,6 +205,31 @@ TEST(ForEachNonemptySubmask, VisitsEveryNonemptySubmaskOnce) {
       ASSERT_NE(sub, 0u);
       ASSERT_EQ(sub & ~mask, 0u);  // genuinely a submask
     }
+  }
+}
+
+TEST(ParseU64, AcceptsDigitsOnly) {
+  struct Case {
+    std::string text;
+    bool ok;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {"", false, 0},
+      {"-1", false, 0},
+      {"+1", false, 0},
+      {" 1", false, 0},
+      {"1 ", false, 0},
+      {"12a", false, 0},
+      {"18446744073709551616", false, 0},  // 2^64
+      {"0", true, 0},
+      {"007", true, 7},
+      {"18446744073709551615", true, UINT64_MAX},
+  };
+  for (const auto& c : cases) {
+    std::uint64_t out = 42;
+    EXPECT_EQ(parse_u64(c.text, out), c.ok) << "'" << c.text << "'";
+    EXPECT_EQ(out, c.ok ? c.value : 42u) << "'" << c.text << "'";
   }
 }
 

@@ -38,11 +38,13 @@
 #include "obs/obs.hpp"
 #include "obs/resource_sampler.hpp"
 #include "obs/run_context.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/version.hpp"
 
 namespace {
 
+using lcl::parse_u64;
 using lcl::batch::Cache;
 using lcl::batch::Family;
 using lcl::batch::SurveyOptions;
@@ -160,18 +162,6 @@ int usage(std::ostream& out, int code) {
          "                         (off gives byte-reproducible reports)\n"
          "  (set LCL_OBS=0 in the environment to disable all telemetry)\n";
   return code;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t pos = 0;
-    const auto value = std::stoull(text, &pos);
-    if (pos != text.size()) return false;
-    out = value;
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 bool parse_shard(const std::string& text, lcl::batch::ShardRef& out) {

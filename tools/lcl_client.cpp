@@ -22,9 +22,12 @@
 
 #include "obs/json.hpp"
 #include "svc/http.hpp"
+#include "util/parse.hpp"
 #include "util/version.hpp"
 
 namespace {
+
+using lcl::parse_u64;
 
 namespace json = lcl::obs::json;
 
@@ -41,18 +44,6 @@ int usage(std::ostream& out, int code) {
          "  --version                     print client version and exit\n"
          "exit: 0 = 2xx, 1 = daemon error response, 2 = usage/transport\n";
   return code;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t pos = 0;
-    const auto value = std::stoull(text, &pos);
-    if (pos != text.size()) return false;
-    out = value;
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 std::string read_file(const std::string& path) {

@@ -24,10 +24,12 @@
 #include "obs/obs.hpp"
 #include "obs/resource_sampler.hpp"
 #include "obs/run_context.hpp"
+#include "util/parse.hpp"
 #include "util/version.hpp"
 
 namespace {
 
+using lcl::parse_u64;
 using lcl::fuzz::FuzzRunOptions;
 
 /// Runtime leg of the LCL_OBS kill switch (same contract as lcl_batch):
@@ -68,18 +70,6 @@ int usage(std::ostream& out, int code) {
          "  --progress-log=FILE    append progress/resource JSONL records\n"
          "  (set LCL_OBS=0 in the environment to disable all telemetry)\n";
   return code;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t pos = 0;
-    const auto value = std::stoull(text, &pos);
-    if (pos != text.size()) return false;
-    out = value;
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 /// "45" / "45s" -> 45 seconds, "10m" -> 600 seconds.

@@ -26,9 +26,12 @@
 #include "obs/run_context.hpp"
 #include "svc/http.hpp"
 #include "svc/service.hpp"
+#include "util/parse.hpp"
 #include "util/version.hpp"
 
 namespace {
+
+using lcl::parse_u64;
 
 // Written by the signal handler, polled by the main loop. sig_atomic_t is
 // the only type the standard guarantees for this handshake.
@@ -58,18 +61,6 @@ int usage(std::ostream& out, int code) {
          "  --version          print version and exit\n"
          "exit: 0 clean drain, 2 usage/startup failure\n";
   return code;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t pos = 0;
-    const auto value = std::stoull(text, &pos);
-    if (pos != text.size()) return false;
-    out = value;
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 }  // namespace
