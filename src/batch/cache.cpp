@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -278,88 +277,49 @@ const Cache::Entry* Cache::find_exact_locked(
   return nullptr;
 }
 
-std::optional<obs::json::Value> Cache::find(
-    std::string_view kind, const NodeEdgeCheckableLcl& problem) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (const Entry* hit = find_exact_locked(std::string(kind), problem,
-                                           options_.signature(problem))) {
-    return hit->value;
-  }
-  ++stats_.misses;
-  LCL_OBS_COUNTER_ADD("cache.misses", 1);
-  return std::nullopt;
-}
-
-std::optional<Cache::DerivedHit> Cache::find_derived(
-    std::string_view kind, const NodeEdgeCheckableLcl& problem) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (const Entry* hit = find_exact_locked(std::string(kind), problem,
-                                           options_.signature(problem))) {
-    if (!hit->next) return std::nullopt;
-    return DerivedHit{hit->value, *hit->next};
-  }
-  ++stats_.misses;
-  LCL_OBS_COUNTER_ADD("cache.misses", 1);
-  return std::nullopt;
-}
-
-std::optional<Cache::CanonicalHit> Cache::find_canonical(
-    std::string_view kind, const NodeEdgeCheckableLcl& problem,
-    const lint::CanonicalForm* form) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::string kind_str(kind);
+const Cache::Entry* Cache::find_permuted_locked(
+    const std::string& kind, const NodeEdgeCheckableLcl& problem,
+    const lint::CanonicalForm& form) {
+  const auto bucket = canonical_index_.find(
+      IndexKey{kind, lint::spec_signature(form.spec)});
+  if (bucket == canonical_index_.end()) return nullptr;
   const std::size_t k = problem.output_alphabet().size();
-  if (const Entry* exact =
-          find_exact_locked(kind_str, problem, options_.signature(problem))) {
-    CanonicalHit hit;
-    hit.value = exact->value;
-    hit.old_to_new.resize(k);
-    std::iota(hit.old_to_new.begin(), hit.old_to_new.end(), Label{0});
-    return hit;
-  }
-  if (options_.canonical_tier) {
-    lint::CanonicalForm computed;
-    if (form == nullptr) {
-      computed = lint::canonical_form(lint::spec_from_problem(problem));
-      form = &computed;
-    }
-    if (form->complete) {
-      const std::uint64_t canonical_sig = lint::spec_signature(form->spec);
-      const auto bucket =
-          canonical_index_.find(IndexKey{kind_str, canonical_sig});
-      if (bucket != canonical_index_.end()) {
-        for (const auto& it : bucket->second) {
-          if (it->canonical_old_to_new.size() != k) {
-            ++stats_.canonical_collisions;
-            LCL_OBS_COUNTER_ADD("cache.canonical_collisions", 1);
-            continue;
-          }
-          // Stored -> query evidence: through the shared canonical form,
-          // p = query_new_to_old o stored_old_to_new.
-          std::vector<Label> old_to_new(k);
-          for (std::size_t e = 0; e < k; ++e) {
-            old_to_new[e] = form->new_to_old[it->canonical_old_to_new[e]];
-          }
-          // Confirmed exactly, mirroring the raw tier: the stored
-          // constraints, relabeled through the evidence map, must be the
-          // query's. A canonical signature collision therefore costs one
-          // comparison, never a wrong answer.
-          if (same_constraints_permuted(it->problem, old_to_new, problem)) {
-            lru_.splice(lru_.begin(), lru_, it);  // touch for LRU
-            ++stats_.canonical_hits;
-            LCL_OBS_COUNTER_ADD("cache.canonical_hits", 1);
-            CanonicalHit hit;
-            hit.value = it->value;
-            hit.old_to_new = std::move(old_to_new);
-            hit.permuted = true;
-            return hit;
-          }
-          ++stats_.canonical_collisions;
-          LCL_OBS_COUNTER_ADD("cache.canonical_collisions", 1);
-        }
+  for (const auto& it : bucket->second) {
+    if (it->canonical_old_to_new.size() == k) {
+      // Stored -> query relabeling through the shared canonical form,
+      // p = query_new_to_old o stored_old_to_new.
+      std::vector<Label> old_to_new(k);
+      for (std::size_t e = 0; e < k; ++e) {
+        old_to_new[e] = form.new_to_old[it->canonical_old_to_new[e]];
+      }
+      // Confirmed exactly, mirroring the raw tier: the stored constraints,
+      // relabeled through `p`, must be the query's. A canonical signature
+      // collision therefore costs one comparison, never a wrong answer.
+      if (same_constraints_permuted(it->problem, old_to_new, problem)) {
+        lru_.splice(lru_.begin(), lru_, it);  // touch for LRU
+        ++stats_.canonical_hits;
+        LCL_OBS_COUNTER_ADD("cache.canonical_hits", 1);
+        return &*it;
       }
     }
+    ++stats_.canonical_collisions;
+    LCL_OBS_COUNTER_ADD("cache.canonical_collisions", 1);
   }
+  return nullptr;
+}
+
+std::optional<Cache::Hit> Cache::find(std::string_view kind,
+                                      const NodeEdgeCheckableLcl& problem,
+                                      const lint::CanonicalForm* form) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::string kind_str(kind);
+  const Entry* hit =
+      find_exact_locked(kind_str, problem, options_.signature(problem));
+  if (hit == nullptr && options_.canonical_tier && form != nullptr &&
+      form->complete) {
+    hit = find_permuted_locked(kind_str, problem, *form);
+  }
+  if (hit != nullptr) return Hit{hit->value, hit->next};
   ++stats_.misses;
   LCL_OBS_COUNTER_ADD("cache.misses", 1);
   return std::nullopt;
@@ -367,29 +327,14 @@ std::optional<Cache::CanonicalHit> Cache::find_canonical(
 
 void Cache::insert(std::string_view kind, const NodeEdgeCheckableLcl& problem,
                    const obs::json::Value& value,
-                   const lint::CanonicalForm* form, bool index_canonical) {
+                   const lint::CanonicalForm* form,
+                   const NodeEdgeCheckableLcl* next) {
   Entry entry;
   entry.kind = std::string(kind);
   entry.problem = problem;
   entry.value = value;
-  entry.canonical_eligible = index_canonical;
-  insert_entry(std::move(entry), form);
-}
-
-void Cache::insert_derived(std::string_view kind,
-                           const NodeEdgeCheckableLcl& problem,
-                           const NodeEdgeCheckableLcl& next,
-                           const obs::json::Value& value) {
-  Entry entry;
-  entry.kind = std::string(kind);
-  entry.problem = problem;
-  entry.value = value;
-  entry.next = next;
-  entry.canonical_eligible = false;
-  insert_entry(std::move(entry), nullptr);
-}
-
-void Cache::insert_entry(Entry entry, const lint::CanonicalForm* form) {
+  if (next != nullptr) entry.next = *next;
+  entry.canonical_eligible = form != nullptr && next == nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
   entry.signature = options_.signature(entry.problem);
   if (contains_confirmed_locked(entry)) return;  // duplicate: keep the file flat

@@ -41,11 +41,11 @@ struct CacheStats {
   std::uint64_t collisions = 0;
   /// Entries replayed from the on-disk tier at open.
   std::uint64_t disk_loaded = 0;
-  /// Trailing/torn lines skipped while replaying (a killed writer leaves at
-  /// most one).
+  /// Lines skipped while replaying: torn ones (a killed writer leaves at
+  /// most one) and records whose problems do not build.
   std::uint64_t disk_skipped = 0;
-  /// Canonical-tier lookups served through a nontrivial relabeling
-  /// (`find_canonical` only; exact-tier hits count under `hits`).
+  /// Lookups served by the canonical tier through a relabeling (exact-tier
+  /// hits count under `hits`).
   std::uint64_t canonical_hits = 0;
   /// Canonical-signature matches whose permuted constraints did NOT match
   /// exactly - collisions the canonical confirmation step absorbed.
@@ -59,9 +59,13 @@ struct CacheStats {
 /// stored problem is confirmed via `same_constraints` - a signature
 /// collision therefore costs one extra comparison, never a wrong answer.
 /// An entry may also hold a problem derived from its key (the survey's
-/// "step:" entries hold the next reduced iterate; see `insert_derived`).
+/// "step:" entries hold the next reduced iterate; see `insert`).
 ///
-/// Two tiers:
+/// `find` and `insert` take the problem's canonical form when the caller
+/// has one; passing it is what marks a payload as naming no label, which
+/// the canonical tier (`Options::canonical_tier`) needs.
+///
+/// Two storage tiers:
 ///  - in-memory LRU (bounded by `Options::capacity`; eviction drops the
 ///    entry from the lookup index). Problems stay built objects here, so a
 ///    stored or served problem shares its constraint tables with the
@@ -93,13 +97,12 @@ class Cache {
     /// `constraint_signature`.
     SignatureFn signature;
     /// Opt-in second key tier (`lcl_batch --cache-key=canonical`): entries
-    /// are additionally indexed by `lint::canonical_signature`, and
-    /// `find_canonical` can serve a stored verdict for any
-    /// permutation-equivalent problem, returning the label permutation as
-    /// evidence. Costs one orbit search per insert/lookup; every canonical
-    /// hit is confirmed exactly (`same_constraints_permuted` through the
-    /// evidence map) before being served, mirroring the raw tier's
-    /// collision safety.
+    /// inserted with their canonical form are also indexed by its
+    /// signature, so `find` with a complete form can serve a stored verdict
+    /// for any permutation-equivalent problem. The forms come from the
+    /// caller; only replaying the disk tier runs orbit searches. Every
+    /// canonical hit is confirmed exactly (`same_constraints_permuted`)
+    /// before being served, mirroring the raw tier's collision safety.
     bool canonical_tier = false;
     /// When non-empty, a fresh disk tier starts with a provenance meta line
     /// `{"meta":"lclscape.cachetier.v1","git_sha":...}` recording the
@@ -111,17 +114,12 @@ class Cache {
     std::string meta_git_sha;
   };
 
-  /// A `find_canonical` hit: the stored value plus the evidence needed to
-  /// replay it for the query problem.
-  struct CanonicalHit {
+  /// A `find` hit: the stored value and, for an entry inserted with one,
+  /// the derived problem (a copy sharing the stored object's tables and
+  /// keeping its names).
+  struct Hit {
     obs::json::Value value;
-    /// Stored-entry output label -> query output label (total permutation;
-    /// identity for exact-tier hits). Verdicts that mention labels replay
-    /// through this map.
-    std::vector<Label> old_to_new;
-    /// True when served through the canonical tier (the stored problem is a
-    /// permuted copy, not an exact match).
-    bool permuted = false;
+    std::optional<NodeEdgeCheckableLcl> next = std::nullopt;
   };
 
   /// Opens the cache (and disk tier, when configured). Throws
@@ -133,62 +131,37 @@ class Cache {
   Cache(const Cache&) = delete;
   Cache& operator=(const Cache&) = delete;
 
-  /// Confirmed lookup: returns the stored value only when an entry of this
-  /// `kind` holds a problem with exactly the same constraints.
-  std::optional<obs::json::Value> find(std::string_view kind,
-                                       const NodeEdgeCheckableLcl& problem);
-
-  /// Two-tier confirmed lookup: the exact tier first (identity evidence);
-  /// on miss, when `Options::canonical_tier` is on, any stored
-  /// permutation-equivalent problem of this `kind` (confirmed by comparing
-  /// its constraints, mapped through the evidence map, exactly with the
-  /// query's; no relabeled copy is built).
-  /// Callers that already computed the query's canonical form pass it via
-  /// `form` to skip the second orbit search; `form` must be complete - an
-  /// incomplete form is ignored and only the exact tier is probed (an
-  /// exhausted branch-and-bound is no longer permutation-invariant).
-  /// With the tier off this is `find` with identity evidence.
-  std::optional<CanonicalHit> find_canonical(
-      std::string_view kind, const NodeEdgeCheckableLcl& problem,
-      const lint::CanonicalForm* form = nullptr);
+  /// Confirmed two-tier lookup. The exact tier first: an entry of this
+  /// `kind` whose problem has exactly the same constraints. On a miss, when
+  /// `form` is a complete canonical form of `problem` and
+  /// `Options::canonical_tier` is on, any stored permutation-equivalent
+  /// problem of this `kind` that was inserted with its form (confirmed by
+  /// comparing its constraints, mapped through the two forms, exactly with
+  /// the query's; no relabeled copy is built). Without a complete form the
+  /// lookup is exact-only (an exhausted branch-and-bound is no longer
+  /// permutation-invariant). nullopt counts a miss.
+  std::optional<Hit> find(std::string_view kind,
+                          const NodeEdgeCheckableLcl& problem,
+                          const lint::CanonicalForm* form = nullptr);
 
   /// Inserts (and appends to disk). A duplicate of an existing confirmed
   /// entry is a no-op, so re-running a survey over a warm cache does not
-  /// grow the file. `form`, when provided, is the problem's canonical form
-  /// (saves the orbit search when the canonical tier is on; ignored
-  /// otherwise). `index_canonical = false` keeps the entry out of the
-  /// canonical index even when the tier is on - for kinds only ever probed
-  /// on the exact tier (the survey's "step:" records embed a derived spec
-  /// that is NOT label-invariant, and its "zr:" verdicts are looked up
-  /// without an orbit search), so skipping that search at insert saves its
-  /// cost.
+  /// grow the file.
+  ///  - `form`, the problem's canonical form, marks `value` as naming no
+  ///    label: only an entry inserted with its form is indexed on the
+  ///    canonical tier (when on). One inserted without it is exact-only, and
+  ///    its disk record says `"canon":false` so replay skips its orbit
+  ///    search too.
+  ///  - `next`, a problem derived from `problem`, makes the entry
+  ///    exact-only as well (the derived problem names the stored problem's
+  ///    labels). The memory tier keeps it as the object it is; only a disk
+  ///    append renders it, as spec JSON in the record's `value["next"]`, and
+  ///    only a disk load parses it back. `value` must then be an object
+  ///    without a "next" field.
   void insert(std::string_view kind, const NodeEdgeCheckableLcl& problem,
               const obs::json::Value& value,
               const lint::CanonicalForm* form = nullptr,
-              bool index_canonical = true);
-
-  /// A `find_derived` hit: the stored value and the derived problem.
-  struct DerivedHit {
-    obs::json::Value value;
-    NodeEdgeCheckableLcl next;
-  };
-
-  /// `insert` for a value that comes with a problem derived from `problem`
-  /// (exact tier only, like `index_canonical = false`). The memory tier
-  /// keeps `next` as the object it is; only a disk append renders it, as
-  /// spec JSON in the record's `value["next"]`, and only a disk load parses
-  /// it back. `value` must be an object without a "next" field.
-  void insert_derived(std::string_view kind,
-                      const NodeEdgeCheckableLcl& problem,
-                      const NodeEdgeCheckableLcl& next,
-                      const obs::json::Value& value);
-
-  /// `find` for entries stored by `insert_derived` (or loaded from a record
-  /// whose value has an object "next"): the value and a copy of the derived
-  /// problem, which shares the stored one's tables and keeps its names.
-  /// nullopt on a miss, and for an entry that holds no derived problem.
-  std::optional<DerivedHit> find_derived(std::string_view kind,
-                                         const NodeEdgeCheckableLcl& problem);
+              const NodeEdgeCheckableLcl* next = nullptr);
 
   CacheStats stats() const;
   std::size_t size() const;
@@ -204,17 +177,19 @@ class Cache {
     std::uint64_t signature = 0;
     NodeEdgeCheckableLcl problem;  // kept built for exact confirmation
     obs::json::Value value;
-    /// The derived problem of an `insert_derived` entry, written to disk as
+    /// The derived problem passed to `insert`, written to disk as
     /// `value["next"]`.
     std::optional<NodeEdgeCheckableLcl> next;
-    /// False for kinds whose payloads are not label-invariant (persisted to
-    /// disk as "canon" so replay skips their orbit search too).
+    /// False for entries inserted without their canonical form, or with a
+    /// derived problem (persisted to disk as "canon" so replay skips their
+    /// orbit search too).
     bool canonical_eligible = true;
     /// Canonical-tier key material, filled only when the tier is on, the
     /// entry is eligible, and its canonical form completed within budget:
     /// the permutation-invariant signature and the entry's own
     /// label -> canonical-position map (composed with the query's inverse
-    /// map to produce stored -> query evidence).
+    /// map to give the stored -> query relabeling a hit is confirmed
+    /// through).
     bool has_canonical = false;
     std::uint64_t canonical_sig = 0;
     std::vector<Label> canonical_old_to_new;
@@ -236,17 +211,20 @@ class Cache {
   /// Unconditional insert into the in-memory tier, evicting beyond
   /// capacity.
   void insert_memory_locked(Entry entry);
-  /// Fills the entry's canonical key fields when the tier is on (reusing
-  /// `form` when the caller supplied one).
+  /// Fills an eligible entry's canonical key fields when the tier is on,
+  /// from `form`, or from an orbit search when it is null (disk replay).
   void fill_canonical_fields(Entry& entry, const lint::CanonicalForm* form);
   /// Exact-tier probe: the confirmed entry (touched for LRU, counted as a
-  /// hit) or nullptr, without counting a miss; used by `find`,
-  /// `find_derived` and `find_canonical`.
+  /// hit) or nullptr, without counting a miss.
   const Entry* find_exact_locked(const std::string& kind,
                                  const NodeEdgeCheckableLcl& problem,
                                  std::uint64_t sig);
-  /// The shared body of `insert` and `insert_derived`.
-  void insert_entry(Entry entry, const lint::CanonicalForm* form);
+  /// Canonical-tier probe for a complete `form` of `problem`: the confirmed
+  /// entry (touched for LRU, counted as a canonical hit) or nullptr,
+  /// without counting a miss.
+  const Entry* find_permuted_locked(const std::string& kind,
+                                    const NodeEdgeCheckableLcl& problem,
+                                    const lint::CanonicalForm& form);
 
   mutable std::mutex mutex_;
   Options options_;

@@ -46,35 +46,42 @@ std::string degrees_tag(const std::vector<int>& degrees) {
   return tag;
 }
 
-/// Two-tier lookup for label-permutation-invariant verdict kinds
-/// ("engine:", "cycle:", "path:", "check:"): nothing in those payloads
-/// names a label, so a canonical-tier hit can be replayed verbatim - the
-/// permutation evidence degenerates to "no field needs mapping". With the
-/// tier off this is exactly the raw confirmed lookup.
-std::optional<json::Value> cache_find(Cache* cache, const std::string& kind,
-                                      const NodeEdgeCheckableLcl& problem,
-                                      const lint::CanonicalForm* form) {
-  if (cache == nullptr) return std::nullopt;
-  if (auto hit = cache->find_canonical(kind, problem, form)) {
-    return std::move(hit->value);
-  }
-  return std::nullopt;
+/// The value of the "zr:" and "check:" kinds.
+json::Value solvable_value(bool solvable) {
+  json::Value value = json::Value::make_object();
+  value.object()["solvable"] = json::Value(solvable);
+  return value;
 }
 
-void cache_put(Cache* cache, const std::string& kind,
-               const NodeEdgeCheckableLcl& problem, const json::Value& value,
-               const lint::CanonicalForm* form) {
-  if (cache != nullptr) cache->insert(kind, problem, value, form);
+/// The survey's one cache path: the entry stored under `kind` for
+/// `problem`, or else what `compute()` returns - a JSON value, or a whole
+/// `Cache::Hit` when it derives a problem - which is stored. Callers read
+/// their columns from the returned value, so a hit and a miss fill them
+/// the same way. `form`, the problem's canonical form, is passed for the
+/// kinds whose payloads name no label ("engine:", "cycle:", "path:",
+/// "check:"), which a canonical-tier hit therefore replays verbatim. Without
+/// a cache this is `compute()`.
+template <typename Compute>
+Cache::Hit cached(Cache* cache, const std::string& kind,
+                  const NodeEdgeCheckableLcl& problem,
+                  const lint::CanonicalForm* form, const Compute& compute) {
+  if (cache == nullptr) return Cache::Hit{compute()};
+  if (auto hit = cache->find(kind, problem, form)) return std::move(*hit);
+  Cache::Hit computed{compute()};
+  cache->insert(kind, problem, computed.value, form,
+                computed.next ? &*computed.next : nullptr);
+  return computed;
 }
 
 /// `SpeedupEngine`'s memo over the cache: reduced iterates under "step:"
-/// and 0-round verdicts under "zr:", both on the exact tier only. A stored
-/// iterate lives in the stored problem's label space, which a canonical hit
-/// would permute; and an exact lookup costs no orbit search. Iterates are
-/// stored as derived problems, so a hit hands back the stored object
-/// (sharing its tables) and JSON is written only for a disk tier. With
-/// `verdicts` off it leaves 0-round verdicts uncached: the classifiers'
-/// degree-{2} and {1,2} verdicts would grow the cache more than they save.
+/// and 0-round verdicts under "zr:", both passed to `cached` without a
+/// form, so both stay on the exact tier. A stored iterate lives in the
+/// stored problem's label space, which a canonical hit would permute; and
+/// an exact lookup costs no orbit search. Iterates are stored as derived
+/// problems, so a hit hands back the stored object (sharing its tables)
+/// and JSON is written only for a disk tier. With `verdicts` off it leaves
+/// 0-round verdicts uncached: the classifiers' degree-{2} and {1,2}
+/// verdicts would grow the cache more than they save.
 class CacheMemo final : public SpeedupEngine::Memo {
  public:
   CacheMemo(Cache& cache, bool verdicts) : cache_(cache), verdicts_(verdicts) {}
@@ -89,20 +96,21 @@ class CacheMemo final : public SpeedupEngine::Memo {
         std::string("step:") + (options.reduce ? "r" : "f") + ":l" +
         std::to_string(options.limits.max_labels) + ":c" +
         std::to_string(options.limits.max_configs);
-    if (auto hit = cache_.find_derived(kind, current)) {
-      // Tiers written before "psi_labels" was stored serve 0.
-      Step step{std::move(hit->next), 0};
-      if (const auto* psi = hit->value.find("psi_labels");
-          psi != nullptr && psi->is_number()) {
-        step.labels_psi = static_cast<std::size_t>(psi->as_int());
-      }
-      return step;
+    Cache::Hit hit = cached(&cache_, kind, current, nullptr, [&compute]() {
+      Step step = compute();
+      Cache::Hit computed{json::Value::make_object(), std::move(step.next)};
+      computed.value.object()["psi_labels"] =
+          json::Value(static_cast<std::int64_t>(step.labels_psi));
+      return computed;
+    });
+    // A record without its iterate (a hand-edited tier) is recomputed.
+    if (!hit.next) return compute();
+    Step step{std::move(*hit.next), 0};
+    // Tiers written before "psi_labels" was stored serve 0.
+    if (const auto* psi = hit.value.find("psi_labels");
+        psi != nullptr && psi->is_number()) {
+      step.labels_psi = static_cast<std::size_t>(psi->as_int());
     }
-    Step step = compute();
-    json::Value value = json::Value::make_object();
-    value.object()["psi_labels"] =
-        json::Value(static_cast<std::int64_t>(step.labels_psi));
-    cache_.insert_derived(kind, current, step.next, value);
     return step;
   }
 
@@ -111,18 +119,13 @@ class CacheMemo final : public SpeedupEngine::Memo {
                   const std::function<bool()>& compute) override {
     if (!verdicts_) return compute();
     // The verdict depends on the degree set, so it is part of the kind.
-    const std::string kind = "zr:" + degrees_tag(degrees);
-    if (const auto hit = cache_.find(kind, problem)) {
-      if (const auto* solvable = hit->find("solvable");
-          solvable != nullptr && solvable->is_bool()) {
-        return solvable->as_bool();
-      }
-    }
-    const bool solvable = compute();
-    json::Value value = json::Value::make_object();
-    value.object()["solvable"] = json::Value(solvable);
-    cache_.insert(kind, problem, value, nullptr, /*index_canonical=*/false);
-    return solvable;
+    const Cache::Hit hit =
+        cached(&cache_, "zr:" + degrees_tag(degrees), problem, nullptr,
+               [&compute]() { return solvable_value(compute()); });
+    // A record without the verdict (a hand-edited tier) is recomputed.
+    const auto* solvable = hit.value.find("solvable");
+    return solvable != nullptr && solvable->is_bool() ? solvable->as_bool()
+                                                      : compute();
   }
 
  private:
@@ -152,51 +155,43 @@ void cached_speedup(const NodeEdgeCheckableLcl& base,
       std::to_string(options.limits.max_labels) + ":c" +
       std::to_string(options.limits.max_configs) +
       (options.reduce ? ":r" : ":f");
-  if (const auto hit = cache_find(cache, kind, base, base_form)) {
-    const auto read_int = [&hit](const char* key, auto& field) {
-      if (const auto* v = hit->find(key); v != nullptr && v->is_number()) {
-        field =
-            static_cast<std::remove_reference_t<decltype(field)>>(v->as_int());
-      }
-    };
-    const auto read_bool = [&hit](const char* key, bool& field) {
-      if (const auto* v = hit->find(key); v != nullptr && v->is_bool()) {
-        field = v->as_bool();
-      }
-    };
-    read_int("zero_round_step", out.zero_round_step);
-    read_int("steps_applied", out.steps_applied);
-    read_int("preflight_dead_labels", out.preflight_dead_labels);
-    read_bool("fixed_point", out.fixed_point);
-    read_bool("budget_exhausted", out.budget_exhausted);
-    read_bool("detected_unsolvable", out.detected_unsolvable);
-    if (const auto* m = hit->find("message"); m != nullptr && m->is_string()) {
-      out.note = m->as_string();
-    }
-  } else {
+  const Cache::Hit hit = cached(cache, kind, base, base_form, [&]() {
     SpeedupEngine engine(
         NodeEdgeCheckableLcl(base).renamed(std::string(1, kNameMarker)));
     const auto outcome = engine.run(options, memo);
-    out.zero_round_step = outcome.zero_round_step;
-    out.steps_applied = static_cast<int>(engine.steps_applied());
-    out.fixed_point = outcome.fixed_point;
-    out.budget_exhausted = outcome.budget_exhausted;
-    out.detected_unsolvable = outcome.detected_unsolvable;
-    out.preflight_dead_labels = outcome.preflight_dead_labels;
-    out.note = outcome.blowup_message;
     json::Value value = json::Value::make_object();
     auto& object = value.object();
     object["zero_round_step"] =
-        json::Value(static_cast<std::int64_t>(out.zero_round_step));
+        json::Value(static_cast<std::int64_t>(outcome.zero_round_step));
     object["steps_applied"] =
-        json::Value(static_cast<std::int64_t>(out.steps_applied));
-    object["fixed_point"] = json::Value(out.fixed_point);
-    object["budget_exhausted"] = json::Value(out.budget_exhausted);
-    object["detected_unsolvable"] = json::Value(out.detected_unsolvable);
+        json::Value(static_cast<std::int64_t>(engine.steps_applied()));
+    object["fixed_point"] = json::Value(outcome.fixed_point);
+    object["budget_exhausted"] = json::Value(outcome.budget_exhausted);
+    object["detected_unsolvable"] = json::Value(outcome.detected_unsolvable);
     object["preflight_dead_labels"] =
-        json::Value(static_cast<std::int64_t>(out.preflight_dead_labels));
-    object["message"] = json::Value(out.note);
-    cache_put(cache, kind, base, value, base_form);
+        json::Value(static_cast<std::int64_t>(outcome.preflight_dead_labels));
+    object["message"] = json::Value(outcome.blowup_message);
+    return value;
+  });
+  const auto read_int = [&hit](const char* key, auto& field) {
+    if (const auto* v = hit.value.find(key); v != nullptr && v->is_number()) {
+      field = static_cast<std::remove_reference_t<decltype(field)>>(v->as_int());
+    }
+  };
+  const auto read_bool = [&hit](const char* key, bool& field) {
+    if (const auto* v = hit.value.find(key); v != nullptr && v->is_bool()) {
+      field = v->as_bool();
+    }
+  };
+  read_int("zero_round_step", out.zero_round_step);
+  read_int("steps_applied", out.steps_applied);
+  read_int("preflight_dead_labels", out.preflight_dead_labels);
+  read_bool("fixed_point", out.fixed_point);
+  read_bool("budget_exhausted", out.budget_exhausted);
+  read_bool("detected_unsolvable", out.detected_unsolvable);
+  if (const auto* m = hit.value.find("message");
+      m != nullptr && m->is_string()) {
+    out.note = m->as_string();
   }
   for (auto at = out.note.find(kNameMarker); at != std::string::npos;
        at = out.note.find(kNameMarker, at + base.name().size())) {
@@ -242,22 +237,21 @@ ProblemOutcome survey_one(const FamilyMember& member,
     if (classifiers_applicable(problem)) {
       const auto classify = [&](const std::string& kind,
                                 const auto& verdict_of, std::string& column) {
-        if (const auto hit = cache_find(cache, kind, problem, form)) {
-          if (const auto* c = hit->find("complexity");
-              c != nullptr && c->is_string()) {
-            column = c->as_string();
-          }
-          return;
+        const Cache::Hit hit = cached(cache, kind, problem, form, [&]() {
+          const auto verdict = verdict_of();
+          json::Value value = json::Value::make_object();
+          value.object()["complexity"] =
+              json::Value(to_string(verdict.complexity));
+          value.object()["collapse"] = json::Value(
+              static_cast<std::int64_t>(verdict.zero_round_collapse_step));
+          value.object()["pruned"] =
+              json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
+          return value;
+        });
+        if (const auto* c = hit.value.find("complexity");
+            c != nullptr && c->is_string()) {
+          column = c->as_string();
         }
-        const auto verdict = verdict_of();
-        column = to_string(verdict.complexity);
-        json::Value value = json::Value::make_object();
-        value.object()["complexity"] = json::Value(column);
-        value.object()["collapse"] = json::Value(
-            static_cast<std::int64_t>(verdict.zero_round_collapse_step));
-        value.object()["pruned"] =
-            json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
-        cache_put(cache, kind, problem, value, form);
       };
       const int steps = options.classifier_speedup_steps;
       SpeedupEngine::Memo* const steps_only = step_memo ? &*step_memo : nullptr;
@@ -282,19 +276,14 @@ ProblemOutcome survey_one(const FamilyMember& member,
       const std::string kind = "check:n" +
                                std::to_string(options.check_nodes) + ":b" +
                                std::to_string(options.check_budget);
-      if (const auto hit = cache_find(cache, kind, problem, form)) {
-        if (const auto* s = hit->find("solvable");
-            s != nullptr && s->is_bool()) {
-          out.check = s->as_bool() ? "solvable" : "unsolvable";
-        }
-      } else {
+      const Cache::Hit hit = cached(cache, kind, problem, form, [&]() {
         const Graph graph = make_path(options.check_nodes);
-        const bool solvable = brute_force_solvable(
-            problem, graph, uniform_labeling(graph, 0), options.check_budget);
-        out.check = solvable ? "solvable" : "unsolvable";
-        json::Value value = json::Value::make_object();
-        value.object()["solvable"] = json::Value(solvable);
-        cache_put(cache, kind, problem, value, form);
+        return solvable_value(brute_force_solvable(
+            problem, graph, uniform_labeling(graph, 0), options.check_budget));
+      });
+      if (const auto* s = hit.value.find("solvable");
+          s != nullptr && s->is_bool()) {
+        out.check = s->as_bool() ? "solvable" : "unsolvable";
       }
     }
   } catch (const StepBudgetExceeded& e) {

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "lint/spec.hpp"
+#include "lint/spec_io.hpp"
 #include "obs/json.hpp"
 
 namespace lcl::fuzz {
@@ -13,58 +15,6 @@ namespace lcl::fuzz {
 namespace json = lcl::obs::json;
 
 namespace {
-
-json::Value labels_array(const std::vector<Label>& labels) {
-  json::Value arr = json::Value::make_array();
-  for (const auto l : labels) {
-    arr.array().push_back(json::Value(static_cast<std::int64_t>(l)));
-  }
-  return arr;
-}
-
-json::Value problem_to_value(const NodeEdgeCheckableLcl& p) {
-  json::Value obj = json::Value::make_object();
-  obj.object()["name"] = json::Value(p.name());
-  obj.object()["max_degree"] =
-      json::Value(static_cast<std::int64_t>(p.max_degree()));
-
-  json::Value inputs = json::Value::make_array();
-  for (Label l = 0; l < p.input_alphabet().size(); ++l) {
-    inputs.array().push_back(json::Value(p.input_alphabet().name(l)));
-  }
-  obj.object()["inputs"] = std::move(inputs);
-
-  json::Value outputs = json::Value::make_array();
-  for (Label l = 0; l < p.output_alphabet().size(); ++l) {
-    outputs.array().push_back(json::Value(p.output_alphabet().name(l)));
-  }
-  obj.object()["outputs"] = std::move(outputs);
-
-  json::Value node = json::Value::make_array();
-  for (int d = 1; d <= p.max_degree(); ++d) {
-    for (const auto& config : p.node_configs(d)) {
-      node.array().push_back(labels_array(config.labels()));
-    }
-  }
-  obj.object()["node_configs"] = std::move(node);
-
-  json::Value edge = json::Value::make_array();
-  for (const auto& config : p.edge_configs()) {
-    edge.array().push_back(labels_array(config.labels()));
-  }
-  obj.object()["edge_configs"] = std::move(edge);
-
-  json::Value g = json::Value::make_array();
-  for (Label in = 0; in < p.input_alphabet().size(); ++in) {
-    json::Value row = json::Value::make_array();
-    for (const auto out : p.allowed_outputs(in).to_vector()) {
-      row.array().push_back(json::Value(static_cast<std::int64_t>(out)));
-    }
-    g.array().push_back(std::move(row));
-  }
-  obj.object()["g"] = std::move(g);
-  return obj;
-}
 
 [[noreturn]] void malformed(const std::string& what) {
   throw std::runtime_error("fuzz case: malformed JSON: " + what);
@@ -91,61 +41,6 @@ std::vector<Label> parse_labels(const json::Value& arr, std::size_t bound,
     labels.push_back(static_cast<Label>(raw));
   }
   return labels;
-}
-
-NodeEdgeCheckableLcl problem_from_value(const json::Value& obj) {
-  if (!obj.is_object()) malformed("'problem' must be an object");
-  const auto& name = require(obj, "name");
-  const auto& max_degree = require(obj, "max_degree");
-  if (!name.is_string() || !max_degree.is_number()) {
-    malformed("'problem.name' / 'problem.max_degree' types");
-  }
-
-  const auto parse_alphabet = [&obj](const char* key) {
-    const auto& arr = require(obj, key);
-    if (!arr.is_array()) malformed(std::string(key) + ": expected array");
-    Alphabet alphabet;
-    for (const auto& v : arr.as_array()) {
-      if (!v.is_string()) malformed(std::string(key) + ": expected strings");
-      alphabet.add(v.as_string());
-    }
-    return alphabet;
-  };
-  Alphabet input = parse_alphabet("inputs");
-  Alphabet output = parse_alphabet("outputs");
-  const std::size_t in_size = input.size();
-  const std::size_t out_size = output.size();
-
-  NodeEdgeCheckableLcl::Builder builder(
-      name.as_string(), std::move(input), std::move(output),
-      static_cast<int>(max_degree.as_int()));
-  builder.allow_unsatisfiable_inputs();  // shrunk cases may have empty g rows
-
-  const auto& node = require(obj, "node_configs");
-  if (!node.is_array()) malformed("'node_configs': expected array");
-  for (const auto& config : node.as_array()) {
-    builder.allow_node(parse_labels(config, out_size, "node config"));
-  }
-
-  const auto& edge = require(obj, "edge_configs");
-  if (!edge.is_array()) malformed("'edge_configs': expected array");
-  for (const auto& config : edge.as_array()) {
-    const auto labels = parse_labels(config, out_size, "edge config");
-    if (labels.size() != 2) malformed("edge config must have 2 labels");
-    builder.allow_edge(labels[0], labels[1]);
-  }
-
-  const auto& g = require(obj, "g");
-  if (!g.is_array() || g.as_array().size() != in_size) {
-    malformed("'g' must be an array with one row per input label");
-  }
-  for (std::size_t in_label = 0; in_label < in_size; ++in_label) {
-    for (const auto out :
-         parse_labels(g.as_array()[in_label], out_size, "g row")) {
-      builder.allow_output_for_input(static_cast<Label>(in_label), out);
-    }
-  }
-  return builder.build();
 }
 
 Graph graph_from_value(const json::Value& obj) {
@@ -180,7 +75,8 @@ std::string to_json(const FuzzCase& fuzz_case) {
       json::Value(static_cast<std::int64_t>(fuzz_case.seed));
   root.object()["note"] = json::Value(fuzz_case.note);
   root.object()["family"] = json::Value(fuzz_case.family);
-  root.object()["problem"] = problem_to_value(fuzz_case.problem);
+  root.object()["problem"] =
+      lint::spec_to_json_value(lint::spec_from_problem(fuzz_case.problem));
 
   json::Value graph = json::Value::make_object();
   graph.object()["nodes"] =
@@ -228,7 +124,14 @@ FuzzCase from_json(std::string_view text) {
       family && family->is_string()) {
     out.family = family->as_string();
   }
-  out.problem = problem_from_value(require(*root, "problem"));
+  // The problem object is the spec dialect of lint/spec_io.hpp; what
+  // `build_spec` refuses (the L001 rules) is a malformed case.
+  const auto spec = lint::spec_from_json_value(require(*root, "problem"));
+  try {
+    out.problem = lint::build_spec(spec);
+  } catch (const std::logic_error& e) {
+    malformed(std::string("'problem': ") + e.what());
+  }
   out.graph = graph_from_value(require(*root, "graph"));
   out.input = parse_labels(require(*root, "input"),
                            out.problem.input_alphabet().size(), "input");

@@ -11,6 +11,9 @@ namespace lcl::fuzz {
 /// format stores the problem and instance *explicitly* - alphabets,
 /// configuration lists, edge list, input labeling - so corpus files are
 /// self-contained regression tests, independent of the generator's RNG.
+/// The `"problem"` object is the spec dialect of lint/spec_io.hpp, written
+/// and read through it (`spec_to_json_value` / `spec_from_json_value`, then
+/// `build_spec`), so a corpus file is also a spec file.
 ///
 /// Schema (version 1):
 /// ```json
@@ -34,9 +37,10 @@ namespace lcl::fuzz {
 std::string to_json(const FuzzCase& fuzz_case);
 
 /// Parses a case; throws `std::runtime_error` with a description of the
-/// first malformed field. Validates structural consistency (label indices
-/// in range, input length == half-edge count, graph degree <= problem
-/// degree) so corrupt corpus files fail loudly at load time.
+/// first malformed field. Validates structural consistency (the problem's
+/// L001 rules via `build_spec`, input labels in range, input length ==
+/// half-edge count, graph degree <= problem degree) so corrupt corpus files
+/// fail loudly at load time.
 FuzzCase from_json(std::string_view text);
 
 /// File wrappers; `save_case` creates parent directories as needed. Both

@@ -187,116 +187,114 @@ void semantic_passes(const ProblemSpec& canonical, const LintOptions& options,
   std::vector<char> edge_alive(canonical.edge_configs.size(), 1);
   auto g_rows = canonical.g;
 
-  if (options.support_fixpoint) {
-    // The support fixpoint (the automata-theoretic-lens pruning): a label
-    // needs a surviving node configuration, a surviving edge partner, and an
-    // input permitting it; configurations need all their labels alive.
-    // Each sweep computes supports in parallel, then deletes, so a cascade
-    // (killing a configuration starves another label) takes extra sweeps.
-    while (true) {
-      std::vector<char> in_node(k, 0);
-      std::vector<char> in_edge(k, 0);
-      std::vector<char> in_g(k, 0);
-      for (std::size_t i = 0; i < canonical.node_configs.size(); ++i) {
-        if (!node_alive[i]) continue;
-        for (const auto raw : canonical.node_configs[i]) {
-          in_node[static_cast<std::size_t>(raw)] = 1;
-        }
-      }
-      for (std::size_t i = 0; i < canonical.edge_configs.size(); ++i) {
-        if (!edge_alive[i]) continue;
-        for (const auto raw : canonical.edge_configs[i]) {
-          in_edge[static_cast<std::size_t>(raw)] = 1;
-        }
-      }
-      for (const auto& row : g_rows) {
-        for (const auto raw : row) in_g[static_cast<std::size_t>(raw)] = 1;
-      }
-
-      std::vector<char> died(k, 0);
-      bool any_death = false;
-      for (std::size_t l = 0; l < k; ++l) {
-        if (!live[l] || (in_node[l] && in_edge[l] && in_g[l])) continue;
-        std::vector<const char*> reasons;
-        if (!in_node[l]) reasons.push_back("no node configuration uses it");
-        if (!in_edge[l]) reasons.push_back("no edge configuration uses it");
-        if (!in_g[l]) reasons.push_back("no input label permits it");
-        std::string message = "dead output label '" + name_of(l) + "': ";
-        for (std::size_t r = 0; r < reasons.size(); ++r) {
-          if (r > 0) message += "; ";
-          message += reasons[r];
-        }
-        message += " - it cannot occur in any correct solution";
-        add(report.diagnostics, Code::kDeadLabel, Severity::kWarning,
-            std::move(message), "output_label", static_cast<int>(l));
-        live[l] = 0;
-        died[l] = 1;
-        any_death = true;
-        ++report.dead_labels;
-      }
-      if (!any_death) break;
-      ++report.fixpoint_iterations;
-
-      const auto kill_configs = [&](const std::vector<std::vector<
-                                        std::int64_t>>& list,
-                                    std::vector<char>& alive,
-                                    const char* object, const char* what) {
-        for (std::size_t i = 0; i < list.size(); ++i) {
-          if (!alive[i]) continue;
-          const bool vacuous = std::any_of(
-              list[i].begin(), list[i].end(), [&died](std::int64_t raw) {
-                return died[static_cast<std::size_t>(raw)] != 0;
-              });
-          if (!vacuous) continue;
-          alive[i] = 0;
-          add(report.diagnostics, Code::kVacuousConfig, Severity::kWarning,
-              std::string("vacuous ") + what + " " +
-                  render_config(list[i], canonical.outputs) +
-                  ": mentions a dead label",
-              object, static_cast<int>(i));
-        }
-      };
-      kill_configs(canonical.node_configs, node_alive, "node_config",
-                   "node configuration");
-      kill_configs(canonical.edge_configs, edge_alive, "edge_config",
-                   "edge configuration");
-      for (auto& row : g_rows) {
-        row.erase(std::remove_if(row.begin(), row.end(),
-                                 [&died](std::int64_t raw) {
-                                   return died[static_cast<std::size_t>(
-                                              raw)] != 0;
-                                 }),
-                  row.end());
+  // The support fixpoint (the automata-theoretic-lens pruning): a label
+  // needs a surviving node configuration, a surviving edge partner, and an
+  // input permitting it; configurations need all their labels alive.
+  // Each sweep computes supports in parallel, then deletes, so a cascade
+  // (killing a configuration starves another label) takes extra sweeps.
+  while (true) {
+    std::vector<char> in_node(k, 0);
+    std::vector<char> in_edge(k, 0);
+    std::vector<char> in_g(k, 0);
+    for (std::size_t i = 0; i < canonical.node_configs.size(); ++i) {
+      if (!node_alive[i]) continue;
+      for (const auto raw : canonical.node_configs[i]) {
+        in_node[static_cast<std::size_t>(raw)] = 1;
       }
     }
-
-    for (std::size_t i = 0; i < g_rows.size(); ++i) {
-      if (!g_rows[i].empty()) continue;
-      const bool starved = !canonical.g[i].empty();
-      add(report.diagnostics, Code::kStarvedInput, Severity::kWarning,
-          "input label '" + canonical.inputs[i] +
-              (starved ? "' permits only dead output labels"
-                       : "' permits no output label") +
-              " - any instance carrying it is unsolvable",
-          "input_label", static_cast<int>(i));
+    for (std::size_t i = 0; i < canonical.edge_configs.size(); ++i) {
+      if (!edge_alive[i]) continue;
+      for (const auto raw : canonical.edge_configs[i]) {
+        in_edge[static_cast<std::size_t>(raw)] = 1;
+      }
     }
-    for (int d = 1; d <= canonical.max_degree; ++d) {
-      bool populated = false;
-      for (std::size_t i = 0; i < canonical.node_configs.size(); ++i) {
-        if (node_alive[i] &&
-            canonical.node_configs[i].size() ==
-                static_cast<std::size_t>(d)) {
-          populated = true;
-          break;
-        }
+    for (const auto& row : g_rows) {
+      for (const auto raw : row) in_g[static_cast<std::size_t>(raw)] = 1;
+    }
+
+    std::vector<char> died(k, 0);
+    bool any_death = false;
+    for (std::size_t l = 0; l < k; ++l) {
+      if (!live[l] || (in_node[l] && in_edge[l] && in_g[l])) continue;
+      std::vector<const char*> reasons;
+      if (!in_node[l]) reasons.push_back("no node configuration uses it");
+      if (!in_edge[l]) reasons.push_back("no edge configuration uses it");
+      if (!in_g[l]) reasons.push_back("no input label permits it");
+      std::string message = "dead output label '" + name_of(l) + "': ";
+      for (std::size_t r = 0; r < reasons.size(); ++r) {
+        if (r > 0) message += "; ";
+        message += reasons[r];
       }
-      if (!populated) {
-        add(report.diagnostics, Code::kUnpopulatedDegree, Severity::kInfo,
-            "no node configuration of degree " + std::to_string(d) +
-                " survives - instances containing a degree-" +
-                std::to_string(d) + " node are unsolvable",
-            "problem", d);
+      message += " - it cannot occur in any correct solution";
+      add(report.diagnostics, Code::kDeadLabel, Severity::kWarning,
+          std::move(message), "output_label", static_cast<int>(l));
+      live[l] = 0;
+      died[l] = 1;
+      any_death = true;
+      ++report.dead_labels;
+    }
+    if (!any_death) break;
+    ++report.fixpoint_iterations;
+
+    const auto kill_configs = [&](const std::vector<std::vector<
+                                      std::int64_t>>& list,
+                                  std::vector<char>& alive,
+                                  const char* object, const char* what) {
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        if (!alive[i]) continue;
+        const bool vacuous = std::any_of(
+            list[i].begin(), list[i].end(), [&died](std::int64_t raw) {
+              return died[static_cast<std::size_t>(raw)] != 0;
+            });
+        if (!vacuous) continue;
+        alive[i] = 0;
+        add(report.diagnostics, Code::kVacuousConfig, Severity::kWarning,
+            std::string("vacuous ") + what + " " +
+                render_config(list[i], canonical.outputs) +
+                ": mentions a dead label",
+            object, static_cast<int>(i));
       }
+    };
+    kill_configs(canonical.node_configs, node_alive, "node_config",
+                 "node configuration");
+    kill_configs(canonical.edge_configs, edge_alive, "edge_config",
+                 "edge configuration");
+    for (auto& row : g_rows) {
+      row.erase(std::remove_if(row.begin(), row.end(),
+                               [&died](std::int64_t raw) {
+                                 return died[static_cast<std::size_t>(
+                                            raw)] != 0;
+                               }),
+                row.end());
+    }
+  }
+
+  for (std::size_t i = 0; i < g_rows.size(); ++i) {
+    if (!g_rows[i].empty()) continue;
+    const bool starved = !canonical.g[i].empty();
+    add(report.diagnostics, Code::kStarvedInput, Severity::kWarning,
+        "input label '" + canonical.inputs[i] +
+            (starved ? "' permits only dead output labels"
+                     : "' permits no output label") +
+            " - any instance carrying it is unsolvable",
+        "input_label", static_cast<int>(i));
+  }
+  for (int d = 1; d <= canonical.max_degree; ++d) {
+    bool populated = false;
+    for (std::size_t i = 0; i < canonical.node_configs.size(); ++i) {
+      if (node_alive[i] &&
+          canonical.node_configs[i].size() ==
+              static_cast<std::size_t>(d)) {
+        populated = true;
+        break;
+      }
+    }
+    if (!populated) {
+      add(report.diagnostics, Code::kUnpopulatedDegree, Severity::kInfo,
+          "no node configuration of degree " + std::to_string(d) +
+              " survives - instances containing a degree-" +
+              std::to_string(d) + " node are unsolvable",
+          "problem", d);
     }
   }
 
@@ -336,9 +334,8 @@ void semantic_passes(const ProblemSpec& canonical, const LintOptions& options,
 
   // L020: nothing survives => no correct solution on any graph with an
   // edge (every half-edge needs a label with full support).
-  if (options.support_fixpoint &&
-      (report.new_to_old.empty() || report.canonical.node_configs.empty() ||
-       report.canonical.edge_configs.empty())) {
+  if (report.new_to_old.empty() || report.canonical.node_configs.empty() ||
+      report.canonical.edge_configs.empty()) {
     std::string what =
         report.new_to_old.empty()        ? "no output label"
         : report.canonical.node_configs.empty() ? "no node configuration"

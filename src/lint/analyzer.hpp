@@ -10,11 +10,9 @@
 
 namespace lcl::lint {
 
-/// Pass selection. Both passes are cheap (polynomial in the spec size);
-/// the switches exist for callers that only need one verdict.
+/// Pass selection. The label-support fixpoint and pruning (L010-L013,
+/// L020) always run; the switches below select the optional passes.
 struct LintOptions {
-  /// L010-L013, L020: the label-support fixpoint and pruning.
-  bool support_fixpoint = true;
   /// L030: the uniform-label 0-round triviality check.
   bool zero_round = true;
   /// L050/L052: label-permutation canonicalization of the pruned spec

@@ -50,6 +50,21 @@ ProblemSpec spec_from_problem(const NodeEdgeCheckableLcl& problem) {
 }
 
 NodeEdgeCheckableLcl build_spec(const ProblemSpec& spec) {
+  // The L001 rules the builder cannot see: it takes `Label`s, so an index
+  // of 2^32 or more would wrap into range, and it accepts a short `g`.
+  const auto label = [&spec](std::int64_t raw) {
+    if (raw < 0 || static_cast<std::uint64_t>(raw) >= spec.outputs.size()) {
+      throw std::invalid_argument("build_spec: undeclared output label #" +
+                                  std::to_string(raw));
+    }
+    return static_cast<Label>(raw);
+  };
+  if (spec.g.size() != spec.inputs.size()) {
+    throw std::invalid_argument(
+        "build_spec: g has " + std::to_string(spec.g.size()) +
+        " rows but there are " + std::to_string(spec.inputs.size()) +
+        " input labels");
+  }
   Alphabet input;
   for (const auto& name : spec.inputs) input.add(name);
   Alphabet output;
@@ -58,20 +73,21 @@ NodeEdgeCheckableLcl build_spec(const ProblemSpec& spec) {
                                         std::move(output), spec.max_degree);
   builder.allow_unsatisfiable_inputs();
   for (const auto& config : spec.node_configs) {
-    builder.allow_node(std::vector<Label>(config.begin(), config.end()));
+    std::vector<Label> labels;
+    labels.reserve(config.size());
+    for (const auto raw : config) labels.push_back(label(raw));
+    builder.allow_node(std::move(labels));
   }
   for (const auto& config : spec.edge_configs) {
     if (config.size() != 2) {
       throw std::invalid_argument(
           "build_spec: edge configuration must have exactly 2 labels");
     }
-    builder.allow_edge(static_cast<Label>(config[0]),
-                       static_cast<Label>(config[1]));
+    builder.allow_edge(label(config[0]), label(config[1]));
   }
   for (std::size_t in = 0; in < spec.g.size(); ++in) {
     for (const auto out : spec.g[in]) {
-      builder.allow_output_for_input(static_cast<Label>(in),
-                                     static_cast<Label>(out));
+      builder.allow_output_for_input(static_cast<Label>(in), label(out));
     }
   }
   return builder.build();

@@ -32,9 +32,12 @@ struct ProblemSpec {
 ProblemSpec spec_from_problem(const NodeEdgeCheckableLcl& problem);
 
 /// Builds the problem a spec describes. The spec must be structurally valid
-/// (no L001 findings); otherwise the underlying builder throws. Empty `g`
-/// rows are permitted (the analyzer reports them as L012, but the pruned
-/// problem of a partially starved spec must still build).
+/// (no L001 findings); otherwise this throws a `std::logic_error`: an
+/// `std::invalid_argument` for a label outside `[0, |outputs|)` (checked
+/// before narrowing to `Label`, so no index wraps into range) or a `g`
+/// without one row per input, and whatever the builder throws for the
+/// rest. Empty `g` rows are permitted (the analyzer reports them as L012,
+/// but the pruned problem of a partially starved spec must still build).
 NodeEdgeCheckableLcl build_spec(const ProblemSpec& spec);
 
 /// Canonical form: every configuration sorted ascending, configuration

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <fstream>
 #include <future>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -122,7 +123,8 @@ TEST(BatchCache, StoresAndFindsByContent) {
   cache.insert("verdict", mm, tag("mm"));
   const auto hit = cache.find("verdict", mm);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(tag_of(*hit), "mm");
+  EXPECT_EQ(tag_of(hit->value), "mm");
+  EXPECT_FALSE(hit->next.has_value());
   // Kind is part of the address.
   EXPECT_FALSE(cache.find("other-kind", mm).has_value());
   const auto stats = cache.stats();
@@ -153,8 +155,8 @@ TEST(BatchCache, CollidingSignaturesNeverServeTheWrongEntry) {
   const auto hit_b = cache.find("verdict", b);
   ASSERT_TRUE(hit_a.has_value());
   ASSERT_TRUE(hit_b.has_value());
-  EXPECT_EQ(tag_of(*hit_a), "for-a");
-  EXPECT_EQ(tag_of(*hit_b), "for-b");
+  EXPECT_EQ(tag_of(hit_a->value), "for-a");
+  EXPECT_EQ(tag_of(hit_b->value), "for-b");
 }
 
 TEST(BatchCache, DuplicateInsertIsANoOp) {
@@ -164,7 +166,7 @@ TEST(BatchCache, DuplicateInsertIsANoOp) {
   cache.insert("verdict", mm, tag("second"));  // ignored: already confirmed
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(tag_of(*cache.find("verdict", mm)), "first");
+  EXPECT_EQ(tag_of(cache.find("verdict", mm)->value), "first");
 }
 
 TEST(BatchCache, LruEvictionDropsTheColdestEntry) {
@@ -205,8 +207,8 @@ TEST(BatchCache, DiskTierRoundTripsAcrossInstances) {
     EXPECT_EQ(cache.stats().disk_loaded, 2u);
     const auto hit = cache.find("verdict", mm);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(tag_of(*hit), "mm");
-    EXPECT_EQ(tag_of(*cache.find("verdict", tc)), "tc");
+    EXPECT_EQ(tag_of(hit->value), "mm");
+    EXPECT_EQ(tag_of(cache.find("verdict", tc)->value), "tc");
   }
   {
     // Cold open truncates: nothing survives.
@@ -240,13 +242,72 @@ TEST(BatchCache, TornTrailingLineIsSkippedOnResume) {
   Cache cache(std::move(options));
   EXPECT_EQ(cache.stats().disk_loaded, 1u);
   EXPECT_EQ(cache.stats().disk_skipped, 1u);
-  EXPECT_EQ(tag_of(*cache.find("verdict", mm)), "mm");
+  EXPECT_EQ(tag_of(cache.find("verdict", mm)->value), "mm");
   // The resumed cache keeps appending valid records after the torn line.
   cache.insert("verdict", problems::two_coloring(2), tag("tc"));
   Cache::Options reopen;
   reopen.disk_path = path;
   Cache again(std::move(reopen));
   EXPECT_EQ(again.stats().disk_loaded, 2u);
+}
+
+TEST(BatchCache, ResumeSkipsRecordsWithOutOfRangeLabels) {
+  // A record whose problem names label 2^32 + 1 of a two-label alphabet:
+  // narrowed to 32 bits it would read as label 1 and pass for `b`'s entry.
+  const std::string path =
+      testing::TempDir() + "lcl_batch_cache_wide_label.jsonl";
+  std::remove(path.c_str());
+  const auto a = colliding_a();
+  const auto b = colliding_b();
+  {
+    Cache::Options options;
+    options.disk_path = path;
+    Cache cache(std::move(options));
+    cache.insert("verdict", a, tag("for-a"));
+    cache.insert("verdict", b, tag("for-b"));
+  }
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  auto record = json::parse(lines[1], nullptr);
+  ASSERT_NE(record, nullptr);
+  auto& configs = record->object()["problem"].object()["node_configs"];
+  bool edited = false;
+  for (auto& config : configs.array()) {
+    for (auto& label : config.array()) {
+      if (!edited && label.as_int() == 1) {
+        label = json::Value((std::int64_t{1} << 32) + 1);
+        edited = true;
+      }
+    }
+  }
+  ASSERT_TRUE(edited);
+  lines[1] = json::dump(*record);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const auto& line : lines) out << line << '\n';
+  }
+
+  Cache::Options options;
+  options.disk_path = path;
+  Cache cache(std::move(options));
+  EXPECT_EQ(cache.stats().disk_loaded, 1u);
+  EXPECT_EQ(cache.stats().disk_skipped, 1u);
+  EXPECT_EQ(tag_of(cache.find("verdict", a)->value), "for-a");
+  // `b`'s verdict is recomputed and appended again.
+  EXPECT_FALSE(cache.find("verdict", b).has_value());
+  cache.insert("verdict", b, tag("for-b"));
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  Cache::Options reopen;
+  reopen.disk_path = path;
+  Cache again(std::move(reopen));
+  EXPECT_EQ(again.stats().disk_loaded, 2u);
+  EXPECT_EQ(again.stats().disk_skipped, 1u);
+  EXPECT_EQ(tag_of(again.find("verdict", b)->value), "for-b");
 }
 
 TEST(BatchCache, ResumeDoesNotDuplicateEntriesOrGrowTheFile) {
@@ -296,20 +357,20 @@ TEST(BatchCache, DerivedProblemsStayObjectsAndRoundTripTheDiskTier) {
     Cache::Options options;
     options.disk_path = path;
     Cache cache(std::move(options));
-    cache.insert_derived("step", mm, next, tag("mm-step"));
-    cache.insert_derived("step", mm, problems::trivial(2), tag("again"));
+    cache.insert("step", mm, tag("mm-step"), nullptr, &next);
+    const auto trivial = problems::trivial(2);
+    cache.insert("step", mm, tag("again"), nullptr, &trivial);
     EXPECT_EQ(cache.stats().insertions, 1u);  // duplicate key: a no-op
-    const auto hit = cache.find_derived("step", mm);
+    const auto hit = cache.find("step", mm);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(tag_of(hit->value), "mm-step");
+    // The value is stored as given; the derived problem rides beside it.
+    EXPECT_EQ(hit->value.find("next"), nullptr);
+    ASSERT_TRUE(hit->next.has_value());
     // The memory tier serves the stored object itself: no copy of it.
-    EXPECT_EQ(&hit->next.edge_configs(), &next.edge_configs());
-    EXPECT_EQ(hit->next.name(), next.name());
-    // A plain lookup sees the value alone.
-    const auto plain = cache.find("step", mm);
-    ASSERT_TRUE(plain.has_value());
-    EXPECT_EQ(plain->find("next"), nullptr);
-    EXPECT_FALSE(cache.find_derived("step", next).has_value());
+    EXPECT_EQ(&hit->next->edge_configs(), &next.edge_configs());
+    EXPECT_EQ(hit->next->name(), next.name());
+    EXPECT_FALSE(cache.find("step", next).has_value());
   }
   // On disk the derived problem is the value's "next" spec.
   std::ifstream in(path);
@@ -329,12 +390,34 @@ TEST(BatchCache, DerivedProblemsStayObjectsAndRoundTripTheDiskTier) {
   options.disk_path = path;
   Cache cache(std::move(options));
   EXPECT_EQ(cache.stats().disk_loaded, 1u);
-  const auto hit = cache.find_derived("step", mm);
+  const auto hit = cache.find("step", mm);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(tag_of(hit->value), "mm-step");
   EXPECT_EQ(hit->value.find("next"), nullptr);
-  EXPECT_TRUE(same_constraints(hit->next, next));
-  EXPECT_EQ(lint::spec_from_problem(hit->next), lint::spec_from_problem(next));
+  ASSERT_TRUE(hit->next.has_value());
+  EXPECT_TRUE(same_constraints(*hit->next, next));
+  EXPECT_EQ(lint::spec_from_problem(*hit->next), lint::spec_from_problem(next));
+}
+
+/// `problem`'s canonical form: what the survey computes once per member
+/// and passes to both `find` and `insert`.
+lint::CanonicalForm form_of(const NodeEdgeCheckableLcl& problem) {
+  auto form = lint::canonical_form(lint::spec_from_problem(problem));
+  EXPECT_TRUE(form.complete);
+  return form;
+}
+
+/// The disk tier's records, one parsed JSON object per line.
+std::vector<json::Value> tier_records(const std::string& path) {
+  std::vector<json::Value> records;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto record = json::parse(line, nullptr);
+    EXPECT_NE(record, nullptr) << line;
+    if (record != nullptr) records.push_back(*record);
+  }
+  return records;
 }
 
 TEST(BatchCacheCanonical, ServesPermutedProblemsWithEvidence) {
@@ -346,22 +429,25 @@ TEST(BatchCacheCanonical, ServesPermutedProblemsWithEvidence) {
   const auto permuted = permuted_copy(mm, sigma);
   ASSERT_FALSE(same_constraints(mm, permuted));
 
-  cache.insert("engine", mm, tag("verdict-for-mm"));
-  // The raw tier does not know the permuted copy...
+  const auto mm_form = form_of(mm);
+  cache.insert("engine", mm, tag("verdict-for-mm"), &mm_form);
+  // Without a form the lookup is exact-only and misses the permuted copy...
   EXPECT_FALSE(cache.find("engine", permuted).has_value());
-  // ...but the canonical tier serves it, with the label permutation as
-  // evidence: permuting the stored problem through it gives exactly the
-  // query's constraints.
-  const auto hit = cache.find_canonical("engine", permuted);
+  // ...with one, the canonical tier serves it: the stored value, confirmed
+  // by relabeling the stored constraints into the query's.
+  const auto permuted_form = form_of(permuted);
+  const auto hit = cache.find("engine", permuted, &permuted_form);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->permuted);
   EXPECT_EQ(tag_of(hit->value), "verdict-for-mm");
-  ASSERT_EQ(hit->old_to_new.size(), mm.output_alphabet().size());
-  EXPECT_TRUE(same_constraints(permuted_copy(mm, hit->old_to_new), permuted));
-  EXPECT_EQ(cache.stats().canonical_hits, 1u);
+  EXPECT_FALSE(hit->next.has_value());
 
   // Kind is still part of the address.
-  EXPECT_FALSE(cache.find_canonical("other-kind", permuted).has_value());
+  EXPECT_FALSE(cache.find("other-kind", permuted, &permuted_form).has_value());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.canonical_hits, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.canonical_collisions, 0u);
 }
 
 TEST(BatchCacheCanonical, ExactTierWinsWithIdentityEvidence) {
@@ -369,25 +455,30 @@ TEST(BatchCacheCanonical, ExactTierWinsWithIdentityEvidence) {
   options.canonical_tier = true;
   Cache cache(std::move(options));
   const auto mm = problems::maximal_matching(2);
-  cache.insert("engine", mm, tag("mm"));
-  const auto hit = cache.find_canonical("engine", mm);
+  const auto form = form_of(mm);
+  cache.insert("engine", mm, tag("mm"), &form);
+  const auto hit = cache.find("engine", mm, &form);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_FALSE(hit->permuted);
-  for (std::size_t l = 0; l < hit->old_to_new.size(); ++l) {
-    EXPECT_EQ(hit->old_to_new[l], static_cast<Label>(l));
-  }
+  EXPECT_EQ(tag_of(hit->value), "mm");
   EXPECT_EQ(cache.stats().canonical_hits, 0u);  // exact hits count as hits
   EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(BatchCacheCanonical, TierOffMeansExactOnly) {
   Cache cache;  // canonical_tier defaults to off
   const auto mm = problems::maximal_matching(2);
-  cache.insert("engine", mm, tag("mm"));
+  const auto form = form_of(mm);
+  cache.insert("engine", mm, tag("mm"), &form);
   const auto permuted = permuted_copy(mm, {2, 0, 1});
-  EXPECT_FALSE(cache.find_canonical("engine", permuted).has_value());
-  // find_canonical still answers exact queries (identity evidence).
-  ASSERT_TRUE(cache.find_canonical("engine", mm).has_value());
+  const auto permuted_form = form_of(permuted);
+  EXPECT_FALSE(cache.find("engine", permuted, &permuted_form).has_value());
+  // Exact queries are still answered, form or not.
+  ASSERT_TRUE(cache.find("engine", mm, &form).has_value());
+  ASSERT_TRUE(cache.find("engine", mm).has_value());
+  EXPECT_EQ(cache.stats().canonical_hits, 0u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(BatchCacheCanonical, IneligibleEntriesAreNeverProbedCanonically) {
@@ -395,31 +486,47 @@ TEST(BatchCacheCanonical, IneligibleEntriesAreNeverProbedCanonically) {
   options.canonical_tier = true;
   Cache cache(std::move(options));
   const auto mm = problems::maximal_matching(2);
-  // "step:" style payloads embed derived specs - not label-invariant, so
-  // the caller excludes them from the canonical index.
-  cache.insert("step", mm, tag("payload"), nullptr,
-               /*index_canonical=*/false);
+  // "step:" style payloads name labels, so the caller inserts them without
+  // a form, which keeps them out of the canonical index.
+  cache.insert("step", mm, tag("payload"));
   const auto permuted = permuted_copy(mm, {2, 0, 1});
-  EXPECT_FALSE(cache.find_canonical("step", permuted).has_value());
+  const auto permuted_form = form_of(permuted);
+  EXPECT_FALSE(cache.find("step", permuted, &permuted_form).has_value());
   // Exactly addressed, the entry is still there.
   ASSERT_TRUE(cache.find("step", mm).has_value());
+  EXPECT_EQ(cache.stats().canonical_hits, 0u);
 }
 
 TEST(BatchCacheCanonical, CallerSuppliedFormSkipsNothingSemantically) {
+  // The caller's form picks the canonical bucket and the relabeling; the
+  // exact confirmation still decides. A form that is not the query's -
+  // here the stored problem's own - lands in the right bucket but relabels
+  // wrongly, so it is refused as a canonical collision, never served.
   Cache::Options options;
   options.canonical_tier = true;
   Cache cache(std::move(options));
   const auto mm = problems::maximal_matching(2);
-  const std::vector<Label> sigma{1, 2, 0};
-  const auto permuted = permuted_copy(mm, sigma);
-  const auto form = lint::canonical_form(lint::spec_from_problem(permuted));
-  ASSERT_TRUE(form.complete);
+  const auto permuted = permuted_copy(mm, {1, 2, 0});
+  ASSERT_FALSE(same_constraints(mm, permuted));
+  const auto mm_form = form_of(mm);
+  cache.insert("engine", mm, tag("mm"), &mm_form);
 
-  cache.insert("engine", mm, tag("mm"));
-  const auto hit = cache.find_canonical("engine", permuted, &form);
+  EXPECT_FALSE(cache.find("engine", permuted, &mm_form).has_value());
+  EXPECT_EQ(cache.stats().canonical_collisions, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  const auto permuted_form = form_of(permuted);
+  const auto hit = cache.find("engine", permuted, &permuted_form);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->permuted);
-  EXPECT_TRUE(same_constraints(permuted_copy(mm, hit->old_to_new), permuted));
+  EXPECT_EQ(tag_of(hit->value), "mm");
+  EXPECT_EQ(cache.stats().canonical_hits, 1u);
+
+  // An incomplete form probes the exact tier alone.
+  auto incomplete = permuted_form;
+  incomplete.complete = false;
+  EXPECT_FALSE(cache.find("engine", permuted, &incomplete).has_value());
+  EXPECT_EQ(cache.stats().canonical_hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(BatchCacheCanonical, EligibilityRoundTripsThroughTheDiskTier) {
@@ -433,23 +540,67 @@ TEST(BatchCacheCanonical, EligibilityRoundTripsThroughTheDiskTier) {
     options.disk_path = path;
     options.canonical_tier = true;
     Cache cache(std::move(options));
-    cache.insert("engine", mm, tag("mm"));
-    cache.insert("step", mm, tag("mm-step"), nullptr,
-                 /*index_canonical=*/false);
+    const auto form = form_of(mm);
+    cache.insert("engine", mm, tag("mm"), &form);
+    cache.insert("step", mm, tag("mm-step"));
   }
   Cache::Options options;
   options.disk_path = path;
   options.canonical_tier = true;
   Cache cache(std::move(options));
   EXPECT_EQ(cache.stats().disk_loaded, 2u);
-  // The eligible entry is canonically addressable after replay; the
-  // ineligible one is not (its "canon": false marker survived the disk
-  // round trip).
-  ASSERT_TRUE(cache.find_canonical("engine", mm_permuted).has_value());
-  EXPECT_FALSE(cache.find_canonical("step", mm_permuted).has_value());
+  // The eligible entry is canonically addressable after replay (its form
+  // recomputed at load); the ineligible one is not (its "canon": false
+  // marker survived the disk round trip).
+  const auto permuted_form = form_of(mm_permuted);
+  ASSERT_TRUE(cache.find("engine", mm_permuted, &permuted_form).has_value());
+  EXPECT_FALSE(cache.find("step", mm_permuted, &permuted_form).has_value());
   ASSERT_TRUE(cache.find("step", mm).has_value());
+  EXPECT_EQ(cache.stats().canonical_hits, 1u);
 }
 
+TEST(BatchCacheCanonical, FormlessInsertsAreExactOnlyAndMarkedOnDisk) {
+  // With the tier on, only an entry inserted with its form is indexed
+  // canonically and written without a "canon" field; one inserted without
+  // a form, or with a derived problem, is exact-only and says
+  // "canon":false.
+  const std::string path =
+      testing::TempDir() + "lcl_batch_cache_formless.jsonl";
+  std::remove(path.c_str());
+  const auto mm = problems::maximal_matching(2);
+  const auto mm_form = form_of(mm);
+  const auto next = problems::mis(2);
+  const auto permuted = permuted_copy(mm, {2, 0, 1});
+  const auto permuted_form = form_of(permuted);
+  {
+    Cache::Options options;
+    options.disk_path = path;
+    options.canonical_tier = true;
+    Cache cache(std::move(options));
+    cache.insert("with-form", mm, tag("a"), &mm_form);
+    cache.insert("formless", mm, tag("b"));
+    cache.insert("derived", mm, tag("c"), &mm_form, &next);
+    EXPECT_TRUE(cache.find("with-form", permuted, &permuted_form).has_value());
+    EXPECT_FALSE(cache.find("formless", permuted, &permuted_form).has_value());
+    EXPECT_FALSE(cache.find("derived", permuted, &permuted_form).has_value());
+    EXPECT_EQ(cache.stats().canonical_hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+  }
+  const auto records = tier_records(path);
+  ASSERT_EQ(records.size(), 3u);
+  std::map<std::string, const json::Value*> canon;
+  for (const auto& record : records) {
+    ASSERT_NE(record.find("kind"), nullptr);
+    canon[record.find("kind")->as_string()] = record.find("canon");
+  }
+  EXPECT_EQ(canon.at("with-form"), nullptr);
+  for (const char* kind : {"formless", "derived"}) {
+    SCOPED_TRACE(kind);
+    ASSERT_NE(canon.at(kind), nullptr);
+    ASSERT_TRUE(canon.at(kind)->is_bool());
+    EXPECT_FALSE(canon.at(kind)->as_bool());
+  }
+}
 
 /// The reference `same_constraints_permuted` must match: build the
 /// relabeled copy of `a`, then compare.
@@ -623,7 +774,7 @@ TEST(SharedTables, PoolWorkersCopyQueryAndDropConcurrently) {
   const Configuration allowed = problem->node_configs(3).front();
   const std::size_t degree3_configs = problem->node_configs(3).size();
   Cache cache;
-  cache.insert_derived("step", *problem, next, tag("stored"));
+  cache.insert("step", *problem, tag("stored"), nullptr, &next);
 
   batch::Pool pool(batch::Pool::Options{4});
   std::vector<std::future<bool>> futures;
@@ -633,10 +784,10 @@ TEST(SharedTables, PoolWorkersCopyQueryAndDropConcurrently) {
       bool ok = true;
       for (int round = 0; round < 50; ++round) {
         const NodeEdgeCheckableLcl copy = mine;
-        const auto hit = cache.find_derived("step", copy);
-        if (!hit) return false;
+        const auto hit = cache.find("step", copy);
+        if (!hit || !hit->next) return false;
         const auto served =
-            NodeEdgeCheckableLcl(hit->next).renamed("served");
+            NodeEdgeCheckableLcl(*hit->next).renamed("served");
         ok = ok && copy.node_allows(allowed) &&
              copy.node_configs(3).size() == degree3_configs &&
              constraint_signature(copy) == problem_signature &&

@@ -387,6 +387,8 @@ TEST(Survey, CanonicalReportIsDeterministicAcrossJobsAndCacheStates) {
     EXPECT_GT(cache.stats().disk_loaded, 0u);
     options.cache = &cache;
     EXPECT_EQ(batch::run_survey(family, options).to_json(), raw);
+    // The cold run stored every lookup the warm one makes.
+    EXPECT_EQ(cache.stats().misses, 0u);
   }
 }
 
@@ -442,9 +444,8 @@ TEST(SurveyStepTier, ServedIterateLabelNamesReachNoRowColumn) {
       obs::json::Value value = obs::json::Value::make_object();
       value.object()["psi_labels"] = obs::json::Value(
           static_cast<std::int64_t>(outcome.steps[i].labels_psi));
-      cache.insert_derived(kind, current,
-                           with_other_label_names(engine.problem_at(i + 1)),
-                           value);
+      const auto next = with_other_label_names(engine.problem_at(i + 1));
+      cache.insert(kind, current, value, nullptr, &next);
       ++seeded;
     }
   }

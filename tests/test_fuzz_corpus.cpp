@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/shrink.hpp"
+#include "obs/json.hpp"
 
 #ifndef LCL_FUZZ_CORPUS_DIR
 #error "build must define LCL_FUZZ_CORPUS_DIR"
@@ -152,6 +154,20 @@ TEST(FuzzCaseIo, RejectsMalformedCases) {
   text.replace(pos, end - pos + 1, "\"input\":[]");
   if (c.graph.half_edge_count() > 0) {
     EXPECT_THROW(from_json(text), std::runtime_error);
+  }
+  // Problem labels outside the output alphabet, including one that a
+  // narrowing to 32 bits would wrap back into range.
+  const auto root = obs::json::parse(to_json(c), nullptr);
+  ASSERT_NE(root, nullptr);
+  for (const std::int64_t label :
+       {static_cast<std::int64_t>(c.problem.output_alphabet().size()),
+        std::int64_t{1} << 32}) {
+    SCOPED_TRACE(label);
+    obs::json::Value broken = *root;
+    auto& edge = broken.object()["problem"].object()["edge_configs"];
+    ASSERT_FALSE(edge.array().empty());
+    edge.array().front().array().front() = obs::json::Value(label);
+    EXPECT_THROW(from_json(obs::json::dump(broken)), std::runtime_error);
   }
 }
 

@@ -647,6 +647,49 @@ TEST(LintSpecIo, RoundTripsThroughJsonAndDetectsWrappers) {
   EXPECT_TRUE(same_constraints(rebuilt, problems::maximal_matching(3)));
 }
 
+TEST(LintBuildSpec, RefusesWhatL001Refuses) {
+  // Two output labels, one input. `build_spec` narrows labels to `Label`
+  // (32 bits), so an unchecked 2^32 would wrap to label 0, and a missing
+  // `g` row would read as "permits nothing".
+  ProblemSpec good;
+  good.name = "two";
+  good.max_degree = 2;
+  good.inputs = {"-"};
+  good.outputs = {"a", "b"};
+  good.node_configs = {{0}, {1}, {0, 1}};
+  good.edge_configs = {{0, 1}};
+  good.g = {{0, 1}};
+  ASSERT_TRUE(lint::lint_spec(good).structurally_valid);
+  EXPECT_NO_THROW(lint::build_spec(good));
+
+  std::vector<std::pair<std::string, ProblemSpec>> bad;
+  for (const std::int64_t label : {std::int64_t{1} << 32, std::int64_t{-1},
+                                   std::int64_t{2}}) {
+    const std::string tag = " label " + std::to_string(label);
+    ProblemSpec spec = good;
+    spec.node_configs[1] = {label};
+    bad.emplace_back("node" + tag, spec);
+    spec = good;
+    spec.edge_configs[0] = {0, label};
+    bad.emplace_back("edge" + tag, spec);
+    spec = good;
+    spec.g[0] = {0, label};
+    bad.emplace_back("g" + tag, spec);
+  }
+  ProblemSpec spec = good;
+  spec.g.clear();
+  bad.emplace_back("missing g row", spec);
+  spec = good;
+  spec.g.push_back({0});
+  bad.emplace_back("extra g row", spec);
+
+  for (const auto& [what, broken] : bad) {
+    SCOPED_TRACE(what);
+    EXPECT_FALSE(lint::lint_spec(broken).structurally_valid);
+    EXPECT_THROW(lint::build_spec(broken), std::invalid_argument);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The lcl_lint CLI: exit codes 0 / 1 / 2 / 3 and --fix.
 
