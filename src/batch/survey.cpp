@@ -203,8 +203,10 @@ bool classifiers_applicable(const NodeEdgeCheckableLcl& problem) {
   return problem.input_alphabet().size() == 1 && problem.max_degree() >= 2;
 }
 
-ProblemOutcome survey_one(const FamilyMember& member,
-                          const SurveyOptions& options) {
+}  // namespace
+
+ProblemOutcome survey_member(const FamilyMember& member,
+                             const SurveyOptions& options) {
   LCL_OBS_SPAN(span, "batch/problem", "batch");
   const NodeEdgeCheckableLcl& problem = member.problem;
   ProblemOutcome out;
@@ -253,7 +255,7 @@ ProblemOutcome survey_one(const FamilyMember& member,
           column = c->as_string();
         }
       };
-      const int steps = options.classifier_speedup_steps;
+      const int steps = kClassifierSpeedupSteps;
       SpeedupEngine::Memo* const steps_only = step_memo ? &*step_memo : nullptr;
       if (options.classify_cycles) {
         classify(
@@ -314,8 +316,6 @@ ProblemOutcome survey_one(const FamilyMember& member,
   }
   return out;
 }
-
-}  // namespace
 
 Family exhaustive_family(const ExhaustiveFamilyOptions& options) {
   if (options.max_degree < 2) {
@@ -425,7 +425,7 @@ SurveyReport run_survey(const Family& family, const SurveyOptions& options) {
   report.check_budget = options.check_budget;
   report.classify_cycles = options.classify_cycles;
   report.classify_paths = options.classify_paths;
-  report.classifier_speedup_steps = options.classifier_speedup_steps;
+  report.classifier_speedup_steps = kClassifierSpeedupSteps;
 
   obs::RunContext* run = options.run;
   if (run != nullptr) {
@@ -442,7 +442,7 @@ SurveyReport run_survey(const Family& family, const SurveyOptions& options) {
 
   std::vector<ProblemOutcome> outcomes(family.members.size());
   const auto work = [&](std::size_t i) {
-    outcomes[i] = survey_one(family.members[i], options);
+    outcomes[i] = survey_member(family.members[i], options);
     if (run != nullptr) {
       run->add_rows_done(1);
       if (!outcomes[i].error.empty()) run->add_errors(1);
@@ -469,7 +469,7 @@ SurveyReport run_survey(const Family& family, const SurveyOptions& options) {
       try {
         futures[i].get();
       } catch (const std::exception& e) {
-        // survey_one captures task errors itself; this is the last-resort
+        // survey_member captures task errors itself; this is the last-resort
         // net (e.g. bad_alloc constructing the outcome). The slot still
         // renders deterministically.
         outcomes[i].name = family.members[i].name;

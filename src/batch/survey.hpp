@@ -50,6 +50,11 @@ Family exhaustive_family(const ExhaustiveFamilyOptions& options);
 /// `std::runtime_error` naming the file on I/O or validation failure.
 Family spec_dir_family(const std::string& dir);
 
+/// The speedup-step budget both classifiers get in a survey; the report
+/// echoes it (`SurveyReport::classifier_speedup_steps`) and it names the
+/// "cycle:s<N>" / "path:s<N>" cache kinds.
+inline constexpr int kClassifierSpeedupSteps = 2;
+
 /// Knobs of one survey run. Everything that influences a *verdict* is part
 /// of the cache key derivation; `jobs` and `cache` only influence how fast
 /// the same report is produced.
@@ -60,10 +65,10 @@ struct SurveyOptions {
   /// set - leave `degrees` empty for the forest setting, `{2}` for cycles).
   SpeedupEngine::Options engine;
   /// Classify on cycles / paths (only applies to members without inputs and
-  /// with max degree >= 2; others record "n/a").
+  /// with max degree >= 2; others record "n/a"), with a speedup budget of
+  /// `kClassifierSpeedupSteps`.
   bool classify_cycles = true;
   bool classify_paths = true;
-  int classifier_speedup_steps = 2;
   /// When > 0: cross-check solvability on the path with this many nodes via
   /// the brute-force reference (inputs all-0). A `StepBudgetExceeded` from
   /// an expensive member fails only that member's report row.
@@ -170,6 +175,16 @@ struct SurveyReport {
 /// failures (budget blow-ups, pathological specs) are recorded in that
 /// member's row; they never abort the survey or the pool.
 SurveyReport run_survey(const Family& family, const SurveyOptions& options);
+
+/// One member's report row, computed inline on the calling thread: the
+/// classifier verdicts, the speedup certificate and the optional
+/// brute-force check, through `options.cache` when set. `run_survey` calls
+/// this for every member (`options.jobs` and `options.run` are not read
+/// here), and lcld's `/v1/classify` answers with it, so both serve
+/// verdicts from one source. Per-member failures are recorded in the
+/// row's `error` column.
+ProblemOutcome survey_member(const FamilyMember& member,
+                             const SurveyOptions& options);
 
 /// One report row as JSON - exactly the rendering `SurveyReport::to_json`
 /// uses - and its lossless inverse. The round-trip is what lets the shard

@@ -2,10 +2,85 @@
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "obs/obs.hpp"
 #include "util/math.hpp"
 
 namespace lcl {
+
+void check_chain_problem(const NodeEdgeCheckableLcl& problem,
+                         const char* classifier) {
+  if (problem.input_alphabet().size() != 1) {
+    throw std::invalid_argument(
+        std::string(classifier) +
+        ": only LCLs without inputs are supported (the inputful question is "
+        "PSPACE-hard, Section 1.4)");
+  }
+  if (problem.max_degree() < 2) {
+    throw std::invalid_argument(std::string(classifier) +
+                                ": max degree must be >= 2");
+  }
+}
+
+WalkAutomaton walk_automaton(const NodeEdgeCheckableLcl& problem) {
+  const std::size_t k = problem.output_alphabet().size();
+  // leaf[x]: {x} is in N^1; beside[x * k + y]: {x, y} is in N^2.
+  std::vector<char> leaf(k, 0);
+  std::vector<char> beside(k * k, 0);
+  for (const auto& c : problem.node_configs(1)) leaf[c[0]] = 1;
+  for (const auto& c : problem.node_configs(2)) {
+    beside[c[0] * k + c[1]] = 1;
+    beside[c[1] * k + c[0]] = 1;
+  }
+  WalkAutomaton a{std::vector<std::vector<Label>>(k), LabelSet(k),
+                  LabelSet(k)};
+  std::vector<char> next(k);
+  for (Label y = 0; y < k; ++y) {
+    if (leaf[y]) a.start.insert(y);
+    std::fill(next.begin(), next.end(), 0);
+    for (Label x = 0; x < k; ++x) {
+      if (!problem.edge_allows(y, x)) continue;
+      if (leaf[x]) a.end.insert(y);
+      for (Label z = 0; z < k; ++z) next[z] |= beside[x * k + z];
+    }
+    for (Label z = 0; z < k; ++z) {
+      if (next[z]) a.adjacency[y].push_back(z);
+    }
+  }
+  return a;
+}
+
+ChainPreflight chain_preflight(const NodeEdgeCheckableLcl& problem) {
+  ChainPreflight out{preflight_trim(problem), {}};
+  if (out.trimmed.trivially_unsolvable) return out;
+  out.automaton = walk_automaton(out.trimmed.problem);
+  if (LCL_OBS_ENABLED()) {
+    const auto& adjacency = out.automaton.adjacency;
+    std::size_t edges = 0;
+    for (const auto& row : adjacency) edges += row.size();
+    LCL_OBS_COUNTER_ADD("classify.automaton_states", adjacency.size());
+    LCL_OBS_COUNTER_ADD("classify.automaton_edges", edges);
+    LCL_OBS_HISTOGRAM_RECORD("classify.automaton_size", adjacency.size());
+  }
+  return out;
+}
+
+CycleComplexity settle_flexible(const NodeEdgeCheckableLcl& problem,
+                                int max_steps, std::vector<int> degrees,
+                                SpeedupEngine::Memo* memo,
+                                int& collapse_step) {
+  SpeedupEngine engine(problem);
+  SpeedupEngine::Options options;
+  options.max_steps = max_steps;
+  options.degrees = std::move(degrees);
+  const auto outcome = engine.run(options, memo);
+  if (outcome.zero_round_step < 0) return CycleComplexity::kLogStar;
+  collapse_step = outcome.zero_round_step;
+  return CycleComplexity::kConstant;
+}
 
 std::vector<int> strongly_connected_components(
     const std::vector<std::vector<Label>>& adjacency) {

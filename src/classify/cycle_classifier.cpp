@@ -4,9 +4,7 @@
 #include <stdexcept>
 
 #include "classify/automaton.hpp"
-#include "core/configuration.hpp"
 #include "obs/obs.hpp"
-#include "re/reduce.hpp"
 
 namespace lcl {
 
@@ -24,67 +22,23 @@ std::string to_string(CycleComplexity c) {
   return "?";
 }
 
-namespace {
-
-void validate(const NodeEdgeCheckableLcl& problem) {
-  if (problem.input_alphabet().size() != 1) {
-    throw std::invalid_argument(
-        "cycle classifier: only LCLs without inputs are supported (the "
-        "inputful question is PSPACE-hard, Section 1.4)");
-  }
-  if (problem.max_degree() < 2) {
-    throw std::invalid_argument("cycle classifier: max degree must be >= 2");
-  }
-}
-
-/// The walk automaton: adjacency[y] = all y' with a transition y -> y'.
-std::vector<std::vector<Label>> walk_automaton(
-    const NodeEdgeCheckableLcl& problem) {
-  const std::size_t k = problem.output_alphabet().size();
-  std::vector<std::vector<Label>> adjacency(k);
-  for (Label y = 0; y < k; ++y) {
-    for (Label y2 = 0; y2 < k; ++y2) {
-      bool ok = false;
-      for (Label x = 0; x < k && !ok; ++x) {
-        if (problem.edge_allows(y, x) &&
-            problem.node_allows(Configuration({x, y2}))) {
-          ok = true;
-        }
-      }
-      if (ok) adjacency[y].push_back(y2);
-    }
-  }
-  return adjacency;
-}
-
-}  // namespace
-
 CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
                                        int max_speedup_steps,
                                        SpeedupEngine::Memo* memo) {
-  validate(problem);
+  check_chain_problem(problem, "cycle classifier");
   LCL_OBS_SPAN(span, "classify/cycles", "classify");
   CycleClassification result;
 
   // Pre-flight: an L020 verdict settles the classification outright, and
   // dead-label pruning shrinks the walk automaton (and the speedup engine's
   // power-set base) without changing the complexity class.
-  const TrimmedProblem preflight = preflight_trim(problem);
-  result.pruned_labels = preflight.dead_labels;
-  if (preflight.trivially_unsolvable) {
+  const ChainPreflight preflight = chain_preflight(problem);
+  result.pruned_labels = preflight.trimmed.dead_labels;
+  if (preflight.trimmed.trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
     return result;
   }
-  const NodeEdgeCheckableLcl& effective = preflight.problem;
-
-  const auto adj = walk_automaton(effective);
-  if (LCL_OBS_ENABLED()) {
-    std::size_t edges = 0;
-    for (const auto& row : adj) edges += row.size();
-    LCL_OBS_COUNTER_ADD("classify.automaton_states", adj.size());
-    LCL_OBS_COUNTER_ADD("classify.automaton_edges", edges);
-    LCL_OBS_HISTOGRAM_RECORD("classify.automaton_size", adj.size());
-  }
+  const auto& adj = preflight.automaton.adjacency;
   const auto component = strongly_connected_components(adj);
   int components = 0;
   for (const int c : component) components = std::max(components, c + 1);
@@ -106,30 +60,21 @@ CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
     return result;
   }
 
-  // Flexible: O(1) or Theta(log* n). The round-elimination engine
-  // semidecides O(1) (Theorem 3.10 machinery restricted to degree 2).
-  SpeedupEngine engine(effective);
-  SpeedupEngine::Options options;
-  options.max_steps = max_speedup_steps;
-  options.degrees = {2};
-  const auto outcome = engine.run(options, memo);
-  if (outcome.zero_round_step >= 0) {
-    result.complexity = CycleComplexity::kConstant;
-    result.zero_round_collapse_step = outcome.zero_round_step;
-  } else {
-    result.complexity = CycleComplexity::kLogStar;
-  }
+  // Flexible: O(1) or Theta(log* n), told apart on degree 2.
+  result.complexity =
+      settle_flexible(preflight.trimmed.problem, max_speedup_steps, {2}, memo,
+                      result.zero_round_collapse_step);
   return result;
 }
 
 bool solvable_on_cycle_length(const NodeEdgeCheckableLcl& problem,
                               std::uint64_t n) {
-  validate(problem);
+  check_chain_problem(problem, "cycle classifier");
   if (n < 3) {
     throw std::invalid_argument("solvable_on_cycle_length: n >= 3");
   }
   LCL_OBS_SPAN(span, "classify/cycle_length", "classify");
-  const auto adj = walk_automaton(problem);
+  const auto adj = walk_automaton(problem).adjacency;
   const std::size_t k = adj.size();
   if (k > 64 * 64) {
     throw std::invalid_argument(

@@ -599,9 +599,12 @@ std::string step_mismatch(const ReStep& a, const ReStep& b,
 /// the operators fill and `reduce()` trims in place; the reference builds
 /// each operator's full output and reduces it. Both levels must agree in
 /// name, label names, constraints and meanings, and an error must be the
-/// same type with the same text. The table pre-flight (`preflight_trim`)
-/// must find what `lint::prune_problem` finds: dead labels, the L020
-/// verdict, `new_to_old`, and the pruned problem with its names.
+/// same type with the same text. A computed level must be clean:
+/// `reduce()`'s trim runs the pre-flight's fixpoint on `psi` and `f(pi)`,
+/// so `lint::prune_problem` finds no dead label in either. The table
+/// pre-flight (`preflight_trim`) must find what `lint::prune_problem`
+/// finds: dead labels, the L020 verdict, `new_to_old`, and the pruned
+/// problem with its names.
 OracleResult oracle_step_parity(const FuzzCase& c, const OracleOptions& o) {
   OracleResult r;
   r.applicable = true;
@@ -642,6 +645,20 @@ OracleResult oracle_step_parity(const FuzzCase& c, const OracleOptions& o) {
 
   lint::LintOptions lint_options;
   lint_options.zero_round = false;
+  if (fused.value) {
+    for (const auto& [step, what] :
+         {std::pair{&fused.value->psi, "psi"},
+          std::pair{&fused.value->next, "f(pi)"}}) {
+      const std::size_t dead =
+          lint::prune_problem(step->problem, lint_options).report.dead_labels;
+      if (dead > 0) {
+        r.failed = true;
+        r.message = std::string(what) + " of speedup_step has " +
+                    std::to_string(dead) + " dead labels";
+        return r;
+      }
+    }
+  }
   const auto pruned = lint::prune_problem(c.problem, lint_options);
   const TrimmedProblem trimmed = preflight_trim(c.problem);
   if (trimmed.dead_labels != pruned.report.dead_labels ||

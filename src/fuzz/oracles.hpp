@@ -76,10 +76,11 @@ struct OracleEntry {
 ///  - "step-parity":       the fused `speedup_step(pi)` must equal its
 ///    definition `reduce_step(apply_rbar(reduce_step(apply_r(pi)).problem))`
 ///    - same problem names, output-label names in order, constraints and
-///    meanings at both levels, or the same exception type and text - and
-///    the table pre-flight `preflight_trim` must match
-///    `lint::prune_problem`: dead labels, L020 verdict, `new_to_old`, and
-///    the pruned problem with its names.
+///    meanings at both levels, or the same exception type and text; a
+///    computed level must have no dead label by `lint::prune_problem`, in
+///    `psi` and in `f(pi)`; and the table pre-flight `preflight_trim` must
+///    match `lint::prune_problem`: dead labels, L020 verdict, `new_to_old`,
+///    and the pruned problem with its names.
 const std::vector<OracleEntry>& oracle_bank();
 
 /// Runs the oracle with the given id; throws `std::invalid_argument` for an

@@ -72,35 +72,20 @@ void ResourceSampler::stop() {
 
 void ResourceSampler::sample_loop() {
   using clock = std::chrono::steady_clock;
-  auto next_resource = clock::now() + options_.resource_interval;
-  auto next_progress = clock::now() + options_.progress_interval;
+  auto next = clock::now() + options_.interval;
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const auto deadline = std::min(next_resource, next_progress);
-    if (cv_.wait_until(lock, deadline, [this] { return stop_requested_; })) {
-      return;
-    }
-    const auto now = clock::now();
-    if (now >= next_resource) {
-      lock.unlock();
-      sample_resources();
-      lock.lock();
-      next_resource = now + options_.resource_interval;
-    }
-    if (now >= next_progress) {
-      lock.unlock();
-      sample_progress();
-      lock.lock();
-      next_progress = now + options_.progress_interval;
-    }
+  while (!cv_.wait_until(lock, next, [this] { return stop_requested_; })) {
+    next = clock::now() + options_.interval;
+    lock.unlock();
+    sample_resources();
+    sample_progress();
+    lock.lock();
   }
 }
 
 void ResourceSampler::sample_resources() {
   ResourceUsage usage;
   if (!read_resource_usage(&usage)) return;
-  std::int64_t queue_depth = -1;
-  if (options_.queue_depth) queue_depth = options_.queue_depth();
 
   if (metrics_enabled()) {
     auto& reg = registry();
@@ -110,25 +95,16 @@ void ResourceSampler::sample_resources() {
         .set(static_cast<std::int64_t>(usage.peak_rss_kb));
     reg.gauge("process.cpu_ms")
         .set(static_cast<std::int64_t>(usage.cpu_ms));
-    if (queue_depth >= 0) {
-      reg.gauge("process.queue_depth").set(queue_depth);
-    }
     reg.histogram("process.rss_sample_kb").record(usage.rss_kb);
   }
 
   if (TraceSession* session = TraceSession::current(); session != nullptr) {
-    TraceArg args[4];
-    std::size_t count = 0;
-    args[count++] =
-        TraceArg{"rss_kb", static_cast<std::int64_t>(usage.rss_kb)};
-    args[count++] =
-        TraceArg{"peak_rss_kb", static_cast<std::int64_t>(usage.peak_rss_kb)};
-    args[count++] =
-        TraceArg{"cpu_ms", static_cast<std::int64_t>(usage.cpu_ms)};
-    if (queue_depth >= 0) {
-      args[count++] = TraceArg{"queue_depth", queue_depth};
-    }
-    session->emit_resource(args, count);
+    const TraceArg args[] = {
+        {"rss_kb", static_cast<std::int64_t>(usage.rss_kb)},
+        {"peak_rss_kb", static_cast<std::int64_t>(usage.peak_rss_kb)},
+        {"cpu_ms", static_cast<std::int64_t>(usage.cpu_ms)},
+    };
+    session->emit_resource(args, 3);
   }
   samples_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,28 +24,24 @@ struct ResourceUsage {
 /// /proc is unavailable. Exposed for tests and one-shot reporting.
 bool read_resource_usage(ResourceUsage* out);
 
-/// Background sampling thread with two cadences:
+/// Background sampling thread. Every `interval` it takes two samples, in
+/// this order:
 ///
-///  - every `resource_interval`: RSS / peak RSS / CPU time / queue depth
-///    into `process.*` gauges plus a `process.rss_sample_kb` histogram,
-///    and a "resource" record into the current TraceSession;
-///  - every `progress_interval`: `run->publish_gauges()` plus a
-///    "progress" record (run_id, phase, rows done/total) into the
-///    current TraceSession.
+///  - RSS / peak RSS / CPU time into `process.*` gauges plus a
+///    `process.rss_sample_kb` histogram, and a "resource" record into the
+///    current TraceSession;
+///  - with a `run`: `run->publish_gauges()` plus a "progress" record
+///    (run_id, phase, rows done/total) into the current TraceSession.
 ///
 /// Default-on in lcl_batch / lcl_fuzz behind the LCL_OBS kill switch: in
 /// LCL_OBS=0 builds `start()` fails fast (same contract as Exporter).
 class ResourceSampler {
  public:
   struct Options {
-    std::chrono::milliseconds resource_interval{1000};
-    std::chrono::milliseconds progress_interval{5000};
+    std::chrono::milliseconds interval{1000};
     /// Optional run to publish progress for; may be null (resource
     /// sampling only).
     RunContext* run = nullptr;
-    /// Supplies the pool queue depth for the `process.queue_depth`
-    /// gauge; unset skips that gauge.
-    std::function<std::int64_t()> queue_depth;
   };
 
   ResourceSampler() = default;
@@ -59,7 +54,7 @@ class ResourceSampler {
   /// Spawns the sampling thread; false (with `error()` set) in LCL_OBS=0
   /// builds. Idempotent while running.
   bool start();
-  /// Takes one final sample of each kind, then stops the thread.
+  /// Stops the thread, then takes one final sample of each kind.
   /// Idempotent; called by the destructor.
   void stop();
 

@@ -69,8 +69,8 @@ class TraceSession {
                      const TraceArg* args, std::size_t arg_count);
 
   /// A resource-usage record: `{"t":"resource","ts":...,"args":{rss_kb,
-  /// peak_rss_kb,cpu_ms,queue_depth}}` in JSONL; a "resource" instant in
-  /// Chrome format.
+  /// peak_rss_kb,cpu_ms}}` in JSONL; a "resource" instant in Chrome
+  /// format.
   void emit_resource(const TraceArg* args, std::size_t arg_count);
 
   /// Writes the metrics footer and the format trailer, then closes the

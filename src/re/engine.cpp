@@ -83,6 +83,8 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
       const auto mine = labels_at(view, level + 1, u, memo);
       // Step 1: per edge, both endpoints pick the same psi-label pair; the
       // smaller-ID endpoint plays the role of "first".
+      const auto& psi = lvl.psi.problem;
+      const auto& meaning = lvl.next.meaning;
       std::vector<Label> psi_labels(static_cast<std::size_t>(degree));
       for (int p = 0; p < degree; ++p) {
         const NodeId w = view.neighbor(u, p);
@@ -92,57 +94,17 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
         const Label xw = theirs[static_cast<std::size_t>(q)];
         psi_labels[static_cast<std::size_t>(p)] =
             (view.id(u) < view.id(w))
-                ? choose_pair(lvl, xu, xw).first
-                : choose_pair(lvl, xw, xu).second;
+                ? choose_edge_pair(psi, meaning, xu, xw).first
+                : choose_edge_pair(psi, meaning, xw, xu).second;
       }
       // Step 2: per node selection satisfying the lower-level node
       // constraint.
-      result = choose_node(level, psi_labels);
+      const NodeEdgeCheckableLcl& lower =
+          level == 0 ? base_ : levels_[level - 1].next.problem;
+      result = choose_node_labels(lower, lvl.psi.meaning, psi_labels);
     }
     memo.emplace(key, result);
     return result;
-  }
-
-  /// Lexicographically smallest pair (La, Lb) in meaning(xa) x meaning(xb)
-  /// allowed by the psi edge constraint (deterministic; both endpoints
-  /// compute it identically).
-  std::pair<Label, Label> choose_pair(const SequenceLevel& lvl, Label xa,
-                                      Label xb) const {
-    for (const auto la : lvl.next.meaning[xa].to_vector()) {
-      for (const auto lb : lvl.next.meaning[xb].to_vector()) {
-        if (lvl.psi.problem.edge_allows(la, lb)) return {la, lb};
-      }
-    }
-    throw std::logic_error(
-        "SynthesizedAlgorithm: Rbar edge constraint violated");
-  }
-
-  std::vector<Label> choose_node(std::size_t level,
-                                 const std::vector<Label>& psi_labels) const {
-    const auto& lvl = levels_[level];
-    const NodeEdgeCheckableLcl& lower =
-        level == 0 ? base_ : levels_[level - 1].next.problem;
-    std::vector<std::vector<Label>> options;
-    options.reserve(psi_labels.size());
-    for (const auto L : psi_labels) {
-      options.push_back(lvl.psi.meaning[L].to_vector());
-    }
-    std::vector<Label> current(psi_labels.size());
-    const auto search = [&](auto&& self, std::size_t pos) -> bool {
-      if (pos == current.size()) {
-        return lower.node_allows(Configuration(current));
-      }
-      for (const auto l : options[pos]) {
-        current[pos] = l;
-        if (self(self, pos + 1)) return true;
-      }
-      return false;
-    };
-    if (!search(search, 0)) {
-      throw std::logic_error(
-          "SynthesizedAlgorithm: R node constraint violated");
-    }
-    return current;
   }
 
   const NodeEdgeCheckableLcl& base_;
@@ -198,28 +160,25 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
   effective_base_ = base_;
   prune_new_to_old_.clear();
 
-  if (options.preflight_lint) {
-    // Pre-flight: an L020 verdict short-circuits the run; dead-label
-    // pruning shrinks the alphabet `R`'s power set is built over. Both are
-    // sound: dead labels occur in no correct solution on any instance, so
-    // the pruned problem has the same solvability, round complexity, and
-    // 0-round verdicts as the original.
-    auto preflight = preflight_trim(base_);
-    outcome.preflight_dead_labels = preflight.dead_labels;
-    LCL_OBS_COUNTER_ADD("re.preflight_dead_labels", preflight.dead_labels);
-    if (preflight.trivially_unsolvable) {
-      outcome.detected_unsolvable = true;
-      outcome.blowup_message =
-          "preflight lint (L020): the pruned constraint set is empty";
-      LCL_OBS_EVENT1("re/preflight_unsolvable", "re", "dead_labels",
-                     preflight.dead_labels);
-      return outcome;
-    }
-    if (preflight.dead_labels > 0) {
-      effective_base_ = std::move(preflight.problem);
-      prune_new_to_old_ = std::move(preflight.new_to_old);
-      outcome.preflight_pruned = true;
-    }
+  // Pre-flight: an L020 verdict short-circuits the run; dead-label pruning
+  // shrinks the alphabet `R`'s power set is built over. Both are sound:
+  // dead labels occur in no correct solution on any instance, so the
+  // pruned problem has the same solvability, round complexity, and 0-round
+  // verdicts as the original.
+  auto preflight = preflight_trim(base_);
+  outcome.preflight_dead_labels = preflight.dead_labels;
+  LCL_OBS_COUNTER_ADD("re.preflight_dead_labels", preflight.dead_labels);
+  if (preflight.trivially_unsolvable) {
+    outcome.detected_unsolvable = true;
+    outcome.blowup_message =
+        "preflight lint (L020): the pruned constraint set is empty";
+    LCL_OBS_EVENT1("re/preflight_unsolvable", "re", "dead_labels",
+                   preflight.dead_labels);
+    return outcome;
+  }
+  if (preflight.dead_labels > 0) {
+    effective_base_ = std::move(preflight.problem);
+    prune_new_to_old_ = std::move(preflight.new_to_old);
   }
 
   if (zero_round(effective_base_, 0, options, memo)) {
@@ -270,7 +229,10 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
       return outcome;
     } catch (const std::runtime_error& e) {
       // reduce() throws when no output label survives trimming: the
-      // problem admits no correct solution on any graph with an edge.
+      // problem admits no correct solution on any graph with an edge. After
+      // the pre-flight this does not happen, since each singleton label of
+      // R(pi) and of Rbar(psi) keeps the node configurations, edge partners
+      // and inputs of the label it wraps; the catch is error handling.
       outcome.detected_unsolvable = true;
       outcome.blowup_message = e.what();
       return outcome;
@@ -287,17 +249,6 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
     LCL_OBS_SPAN_ARG(step_span, "memo", computed ? 0 : 1);
 
     const NodeEdgeCheckableLcl& latest = levels_.back().next.problem;
-    if (options.preflight_lint && computed) {
-      // Run the pre-flight on each computed iterate (a served one was
-      // checked when it was computed). With `reduce` on this is a
-      // cross-check (reduction's trim performs the same support fixpoint,
-      // so any dead label here is a bug worth surfacing); with `reduce` off
-      // it quantifies what the faithful sequence drags along.
-      stats.lint_dead_labels = preflight_trim(latest).dead_labels;
-      if (stats.lint_dead_labels > 0) {
-        LCL_OBS_EVENT1("re/iterate_dead_labels", "re", "step", step);
-      }
-    }
     if (zero_round(latest, static_cast<int>(levels_.size()), options, memo)) {
       stats.zero_round_solvable = true;
       outcome.zero_round_step = static_cast<int>(levels_.size());

@@ -32,7 +32,15 @@ SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
 /// `f^k(pi)` is 0-round solvable, then `pi` is solvable in `k` rounds on
 /// forests of *any* size - and `synthesize()` returns that k-round
 /// algorithm, built from the `A_det` witness by applying Lemma 3.9 `k`
-/// times.
+/// times (`choose_edge_pair` and `choose_node_labels`, re/lift.hpp).
+///
+/// Every run starts with one pre-flight, `preflight_trim` (the support
+/// fixpoint of `reduce()`'s trim pass) on the base problem: an L020 verdict
+/// (trivially unsolvable) short-circuits the run, and dead-label pruning
+/// shrinks the base alphabet - cutting the `2^k - 1` power-set base that
+/// `R` pays - without changing any verdict. The iterates need no
+/// pre-flight of their own: with `reduce` on, reduction's trim has already
+/// run the same fixpoint on them.
 class SpeedupEngine {
  public:
   struct Options {
@@ -45,15 +53,6 @@ class SpeedupEngine {
     /// Node degrees the 0-round test must answer (empty = 1..max_degree,
     /// the forest setting; use {2} when classifying problems on cycles).
     std::vector<int> degrees;
-    /// Run the support-fixpoint pre-flight (`preflight_trim`: reduce's trim
-    /// pass on the tables, with lint's verdicts) before the first step: an
-    /// L020 verdict (trivially unsolvable) short-circuits the whole run,
-    /// and dead-label pruning shrinks the base alphabet - cutting the
-    /// `2^k - 1` power-set base that `R` pays - without changing any
-    /// verdict. Each computed iterate gets the same pre-flight
-    /// (`StepStats::lint_dead_labels`; always 0 while `reduce` is on, since
-    /// reduction's trim performs the same fixpoint).
-    bool preflight_lint = true;
   };
 
   /// Statistics for one applied step `pi_i -> pi_{i+1}`.
@@ -64,9 +63,6 @@ class SpeedupEngine {
     std::size_t node_configs = 0;  // of pi_{i+1}
     std::size_t edge_configs = 0;  // of pi_{i+1}
     bool zero_round_solvable = false;  // of pi_{i+1}
-    /// Dead labels the pre-flight found on pi_{i+1} (with `preflight_lint`
-    /// only; 0 whenever `reduce` already trimmed the iterate).
-    std::size_t lint_dead_labels = 0;
     double seconds = 0.0;
   };
 
@@ -84,11 +80,10 @@ class SpeedupEngine {
     /// round-elimination fixed point, the classic hardness certificate
     /// (e.g. sinkless orientation).
     bool fixed_point = false;
-    /// Pre-flight results (Options::preflight_lint): number of dead output
-    /// labels pruned from the base problem, and whether the sequence was
-    /// actually built from the pruned base.
+    /// Dead output labels the pre-flight pruned from the base problem (the
+    /// sequence starts from the pruned base whenever this is non-zero and
+    /// the run was not short-circuited as unsolvable).
     std::size_t preflight_dead_labels = 0;
-    bool preflight_pruned = false;
     std::vector<StepStats> steps;
   };
 
@@ -122,8 +117,8 @@ class SpeedupEngine {
   /// Runs the sequence until 0-round solvability, a fixed point, the step
   /// budget, or an enumeration blow-up. With a `memo`, steps and 0-round
   /// verdicts it already holds are served from it instead of computed; the
-  /// outcome is the same either way (up to `StepStats::seconds`, and
-  /// `lint_dead_labels`, which only computed iterates report).
+  /// outcome is the same either way (up to `StepStats::seconds`). An L020
+  /// pre-flight verdict ends the run before the memo is consulted.
   Outcome run(const Options& options, Memo* memo = nullptr);
 
   /// Problem `f^i(pi)`; valid for `0 <= i <= steps applied`. Index 0 is the

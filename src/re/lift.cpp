@@ -5,11 +5,6 @@
 
 namespace lcl {
 
-namespace {
-
-/// Step 1 of Lemma 3.9 for a single edge: the lexicographically smallest
-/// pair (La, Lb) with La in meaning(xa), Lb in meaning(xb) and {La, Lb} an
-/// allowed edge of psi. Deterministic in (xa, xb).
 std::pair<Label, Label> choose_edge_pair(const NodeEdgeCheckableLcl& psi,
                                          const std::vector<LabelSet>& meaning,
                                          Label xa, Label xb) {
@@ -19,14 +14,10 @@ std::pair<Label, Label> choose_edge_pair(const NodeEdgeCheckableLcl& psi,
     }
   }
   throw std::logic_error(
-      "lift_solution: no compatible pair in the Rbar edge constraint "
+      "choose_edge_pair: no compatible pair in the Rbar edge constraint "
       "(solution not correct for Rbar(R(pi)))");
 }
 
-/// Step 2 of Lemma 3.9 for a single node: from the per-port psi-labels
-/// (already fixed in step 1), pick pi-labels l_p in meaning_psi(L_p) whose
-/// multiset is an allowed node configuration of pi. Deterministic
-/// backtracking, smallest labels first.
 std::vector<Label> choose_node_labels(const NodeEdgeCheckableLcl& pi,
                                       const std::vector<LabelSet>& meaning,
                                       const std::vector<Label>& psi_labels) {
@@ -48,13 +39,11 @@ std::vector<Label> choose_node_labels(const NodeEdgeCheckableLcl& pi,
   };
   if (!search(search, 0)) {
     throw std::logic_error(
-        "lift_solution: no selection satisfies the pi node constraint "
+        "choose_node_labels: no selection satisfies the pi node constraint "
         "(solution not correct for Rbar(R(pi)))");
   }
   return current;
 }
-
-}  // namespace
 
 HalfEdgeLabeling lift_solution(const NodeEdgeCheckableLcl& pi,
                                const SequenceLevel& level, const Graph& graph,

@@ -200,23 +200,27 @@ ParsedBody parse_body(const std::string& body,
   return out;
 }
 
-/// Lints and builds the spec; throws a pre-rendered HttpResponse (as a
-/// simple control-flow carrier inside this TU) when the spec has
-/// structural errors.
+/// Builds the spec. When `build_spec` refuses it, throws a pre-rendered
+/// 422 HttpResponse (as a simple control-flow carrier inside this TU) if
+/// lint finds structural errors, and rethrows the build error otherwise.
 struct SpecRejected {
   HttpResponse response;
 };
 
 NodeEdgeCheckableLcl build_checked(const lint::ProblemSpec& spec,
                                    const std::string& run_id) {
-  const lint::LintReport report = lint::lint_spec(spec);
-  if (!report.structurally_valid) {
+  try {
+    return lint::build_spec(spec);
+  } catch (const std::exception&) {
+    // `build_spec` refuses every spec lint's L001 refuses, so only a
+    // refused spec needs the lint report for its 422 body.
+    const lint::LintReport report = lint::lint_spec(spec);
+    if (report.structurally_valid) throw;
     json::Value detail = report.to_json_value();
     throw SpecRejected{error_response(422, "invalid_spec",
                                       "spec has structural lint errors",
                                       run_id, &detail, "lint")};
   }
-  return lint::build_spec(spec);
 }
 
 /// Route names (the `svc.request_us.<route>` suffix) and the method each
@@ -417,34 +421,26 @@ HttpResponse Service::classify(const HttpRequest& request) {
                           run_id);
   }
 
-  const NodeEdgeCheckableLcl problem = build_checked(body.spec, run_id);
-
-  batch::Family family;
-  family.description = "svc:classify";
-  family.members.push_back(batch::FamilyMember{body.name, problem});
-
-  obs::RunContext run(run_id, "svc");
+  const batch::FamilyMember member{body.name,
+                                   build_checked(body.spec, run_id)};
   batch::SurveyOptions survey;
-  survey.jobs = 1;  // one member; the pool parallelizes across requests
   survey.engine = body.options.engine;
   survey.classify_cycles = body.options.classify_cycles;
   survey.classify_paths = body.options.classify_paths;
   survey.check_nodes = body.options.check_nodes;
   survey.check_budget = body.options.check_budget;
   survey.cache = &cache_;
-  survey.run = &run;
 
-  // The survey pipeline is the single source of verdicts (pinned to
+  // The survey's member path is the single source of verdicts (pinned to
   // SpeedupEngine::run parity by the batch tests); the service never
   // grows a second classify path that could drift.
-  batch::SurveyReport report =
-      pool_.submit([&family, &survey]() {
-             return batch::run_survey(family, survey);
+  const batch::ProblemOutcome outcome =
+      pool_.submit([&member, &survey]() {
+             return batch::survey_member(member, survey);
            })
           .get();
   slot.release();
 
-  const batch::ProblemOutcome& outcome = report.outcomes.at(0);
   if (!outcome.error.empty()) {
     // Per-request failure isolation: the row carries the task's exception
     // (StepBudgetExceeded rows additionally carry the exhausted budget);

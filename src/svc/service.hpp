@@ -29,9 +29,9 @@ namespace lcl::svc {
 ///
 /// Routes (bodies are the lint/fuzz spec-JSON dialect):
 ///
-///   POST /v1/classify    one problem -> the survey outcome row (verdicts
-///                        come from the same cached speedup/classifier
-///                        pipeline as `lcl_batch`, so they match
+///   POST /v1/classify    one problem -> the survey outcome row of
+///                        `batch::survey_member` (the function every
+///                        `lcl_batch` row comes from, so verdicts match
 ///                        `SpeedupEngine::run` exactly);
 ///   POST /v1/lint        one spec -> the full lint report (canonical
 ///                        labels pass included);
@@ -57,8 +57,14 @@ namespace lcl::svc {
 /// request body and clamped to the service ceilings; a request that blows
 /// its step budget gets `422 {"error":{"code":"step_budget_exceeded",...}}`
 /// while concurrent requests are unaffected (task isolation is the pool's
-/// contract). Every request runs under its own `obs::RunContext` run id,
-/// echoed in the response body.
+/// contract). Every request gets its own run id, echoed in the response
+/// body; an async survey also tracks its progress in an `obs::RunContext`
+/// under that id.
+///
+/// Spec errors: a spec `lint::build_spec` refuses is answered
+/// `422 {"error":{"code":"invalid_spec","lint":<report>}}` when lint's
+/// structural check (L001) fails, and `400 bad_request` with the build
+/// error otherwise. Only refused specs are linted.
 ///
 /// Request metrics (recorded while `obs::metrics_enabled()`, so on in
 /// `lcld`): the log2 histogram `svc.request_us.<route>` of handling time in

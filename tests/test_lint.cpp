@@ -28,6 +28,7 @@
 #include "lint/spec_io.hpp"
 #include "local/view.hpp"
 #include "re/engine.hpp"
+#include "re/operators.hpp"
 #include "re/reduce.hpp"
 
 namespace lcl {
@@ -348,7 +349,6 @@ TEST(LintEnginePreflight, PrunedBaseShrinksTheFirstOperatorApplication) {
   with_lint.reduce = false;
   const auto pruned_run = pruned_engine.run(with_lint);
   EXPECT_EQ(pruned_run.preflight_dead_labels, 1u);
-  EXPECT_TRUE(pruned_run.preflight_pruned);
   EXPECT_EQ(pruned_engine.effective_base().output_alphabet().size(), 3u);
   // problem_at(0) is the problem as given, junk label included.
   EXPECT_EQ(pruned_engine.problem_at(0).output_alphabet().size(), 4u);
@@ -362,15 +362,15 @@ TEST(LintEnginePreflight, PrunedBaseShrinksTheFirstOperatorApplication) {
   // Without the pre-flight the dead label rides into R (2^4 - 1 = 15
   // labels), and Rbar's 2^15 - 1 then busts the enumeration limit: the
   // exact blow-up the pre-flight exists to cut off.
-  SpeedupEngine raw_engine(junked);
-  SpeedupEngine::Options no_lint = with_lint;
-  no_lint.preflight_lint = false;
-  const auto raw_run = raw_engine.run(no_lint);
-  EXPECT_EQ(raw_run.preflight_dead_labels, 0u);
-  EXPECT_FALSE(raw_run.preflight_pruned);
-  EXPECT_TRUE(raw_run.steps.empty());
-  EXPECT_TRUE(raw_run.budget_exhausted);
-  EXPECT_NE(raw_run.blowup_message.find("2^15-1"), std::string::npos);
+  const ReStep raw_r = apply_r(junked);
+  EXPECT_EQ(raw_r.problem.output_alphabet().size(), 15u);
+  try {
+    apply_rbar(raw_r.problem);
+    FAIL() << "expected ReBlowupError";
+  } catch (const ReBlowupError& e) {
+    EXPECT_NE(std::string(e.what()).find("2^15-1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(LintEnginePreflight, SynthesizedAlgorithmAnswersTheOriginalProblem) {
@@ -381,7 +381,7 @@ TEST(LintEnginePreflight, SynthesizedAlgorithmAnswersTheOriginalProblem) {
   SpeedupEngine::Options options;
   options.max_steps = 2;
   const auto outcome = engine.run(options);
-  EXPECT_TRUE(outcome.preflight_pruned);
+  EXPECT_GT(outcome.preflight_dead_labels, 0u);
   ASSERT_EQ(outcome.zero_round_step, 0);
 
   const auto algorithm = engine.synthesize();
@@ -534,6 +534,62 @@ TEST(TablePreflight, CleanProblemsComeBackAsTheInput) {
   EXPECT_EQ(trimmed.new_to_old, (std::vector<Label>{0, 1, 2}));
   EXPECT_EQ(&trimmed.problem.edge_configs(), &original.edge_configs());
   EXPECT_EQ(trimmed.problem.name(), original.name());
+}
+
+/// Dead labels `lint::prune_problem` finds in `p`.
+std::size_t dead_labels_by_lint(const NodeEdgeCheckableLcl& p) {
+  LintOptions options;
+  options.zero_round = false;
+  return lint::prune_problem(p, options).report.dead_labels;
+}
+
+TEST(TablePreflight, FusedIteratesHaveNoDeadLabels) {
+  // reduce()'s trim runs the pre-flight's fixpoint on both problems a fused
+  // step builds, so the engine needs no pre-flight past the base problem.
+  // The bases: the kernel-parity battery and two exhaustive families.
+  std::vector<NodeEdgeCheckableLcl> bases = {
+      problems::trivial(3),
+      problems::coloring(3, 2),
+      problems::coloring(3, 3),
+      problems::two_coloring(2),
+      problems::mis(3),
+      problems::maximal_matching(3),
+      problems::sinkless_orientation(3),
+      problems::any_orientation(3),
+      problems::edge_coloring(3, 2),
+      problems::forbidden_color(4, 2),
+      problems::perfect_matching(3),
+      problems::weak_coloring(2, 3),
+      problems::threshold_band(6, 1),
+      problems::threshold_band(64, 8)};
+  for (const auto& [degree, labels] : {std::pair{2, 2}, std::pair{3, 2}}) {
+    batch::ExhaustiveFamilyOptions options;
+    options.max_degree = degree;
+    options.labels = static_cast<std::size_t>(labels);
+    for (auto& member : batch::exhaustive_family(options).members) {
+      bases.push_back(std::move(member.problem));
+    }
+  }
+  ASSERT_EQ(bases.size(), 14u + 49u + 105u);
+  std::size_t steps = 0;
+  for (const auto& base : bases) {
+    NodeEdgeCheckableLcl pi = base;
+    for (int step = 0; step < 3; ++step) {
+      SequenceLevel level;
+      try {
+        level = speedup_step(pi, ReLimits{});
+      } catch (const std::exception&) {
+        break;  // a blow-up or a derived problem that does not build
+      }
+      EXPECT_EQ(dead_labels_by_lint(level.psi.problem), 0u)
+          << base.name() << " step " << step << ": psi";
+      EXPECT_EQ(dead_labels_by_lint(level.next.problem), 0u)
+          << base.name() << " step " << step << ": f(pi)";
+      ++steps;
+      pi = std::move(level.next.problem);
+    }
+  }
+  EXPECT_GT(steps, bases.size());
 }
 
 TEST(StepParityOracle, IsLastInTheBankAndPassesASeedSweep) {

@@ -375,10 +375,8 @@ TEST(ResourceSampler, SamplesGaugesAndHistogram) {
   run.add_rows_done(1);
 
   obs::ResourceSampler::Options options;
-  options.resource_interval = std::chrono::milliseconds(10);
-  options.progress_interval = std::chrono::milliseconds(20);
+  options.interval = std::chrono::milliseconds(10);
   options.run = &run;
-  options.queue_depth = []() { return std::int64_t{5}; };
   obs::ResourceSampler sampler(std::move(options));
   ASSERT_TRUE(sampler.start()) << sampler.error();
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
@@ -389,8 +387,6 @@ TEST(ResourceSampler, SamplesGaugesAndHistogram) {
   auto& reg = obs::registry();
   ASSERT_NE(reg.find_gauge("process.rss_kb"), nullptr);
   EXPECT_GT(reg.find_gauge("process.rss_kb")->value(), 0);
-  ASSERT_NE(reg.find_gauge("process.queue_depth"), nullptr);
-  EXPECT_EQ(reg.find_gauge("process.queue_depth")->value(), 5);
   ASSERT_NE(reg.find_histogram("process.rss_sample_kb"), nullptr);
   EXPECT_GE(reg.find_histogram("process.rss_sample_kb")->count(), 1u);
   // stop() published the run's gauges one last time.

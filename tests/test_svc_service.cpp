@@ -18,10 +18,12 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "batch/survey.hpp"
 #include "gtest/gtest.h"
+#include "lint/analyzer.hpp"
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
 #include "obs/exporter.hpp"
@@ -324,6 +326,73 @@ TEST(SvcService, InvalidSpecAndBadJsonAreStructuredErrors) {
   EXPECT_EQ(string_at(*invalid_body->find("error"), "code"), "invalid_spec");
   // The lint report rides along as the error detail.
   EXPECT_NE(invalid_body->find("error")->find("lint"), nullptr);
+}
+
+TEST(SvcService, EveryL001ClassAnswers422AndOtherBuildErrors400) {
+  Service service(small_options());
+  // One spec per class of structural (L001) error, each a variant of a
+  // one-label degree-2 problem.
+  const auto spec = [](const std::string& max_degree,
+                       const std::string& outputs, const std::string& nodes,
+                       const std::string& edges, const std::string& g) {
+    return R"({"name":"bad","max_degree":)" + max_degree +
+           R"(,"inputs":["-"],"outputs":)" + outputs +
+           R"(,"node_configs":)" + nodes + R"(,"edge_configs":)" + edges +
+           R"(,"g":)" + g + "}";
+  };
+  const std::vector<std::pair<const char*, std::string>> structural = {
+      {"output label 9 of 1",
+       spec("2", R"(["a"])", "[[9]]", "[[0,0]]", "[[0]]")},
+      {"label 2^32",
+       spec("2", R"(["a"])", "[[4294967296]]", "[[0,0]]", "[[0]]")},
+      {"duplicate output name",
+       spec("2", R"(["a","a"])", "[[0]]", "[[0,0]]", "[[0]]")},
+      {"node arity 3 at degree 2",
+       spec("2", R"(["a"])", "[[0,0,0]]", "[[0,0]]", "[[0]]")},
+      {"edge arity 1", spec("2", R"(["a"])", "[[0]]", "[[0]]", "[[0]]")},
+      {"missing g row", spec("2", R"(["a"])", "[[0]]", "[[0,0]]", "[]")},
+      {"max_degree 0", spec("0", R"(["a"])", "[[0]]", "[[0,0]]", "[[0]]")},
+  };
+  // The same spec under every route that builds one; the survey takes it
+  // as a one-spec family.
+  const auto post_everywhere = [&service](const std::string& body) {
+    return std::vector<HttpResponse>{
+        service.handle(make_request("POST", "/v1/classify", body)),
+        service.handle(make_request("POST", "/v1/synthesize", body)),
+        service.handle(make_request("POST", "/v1/survey",
+                                    R"({"problems":[)" + body + "]}"))};
+  };
+  for (const auto& [what, text] : structural) {
+    SCOPED_TRACE(what);
+    // The body carries lint's whole report, as `error.lint`.
+    json::Value lint_report =
+        lint::lint_spec(lint::spec_from_json(text)).to_json_value();
+    ASSERT_FALSE(lint_report.find("structurally_valid")->as_bool());
+    for (const HttpResponse& response : post_everywhere(text)) {
+      EXPECT_EQ(response.status, 422) << response.body;
+      const auto body = parse_json(response.body);
+      ASSERT_NE(body->find("run_id"), nullptr) << response.body;
+      json::Value error = json::Value::make_object();
+      error.object()["code"] = json::Value(std::string("invalid_spec"));
+      error.object()["message"] =
+          json::Value(std::string("spec has structural lint errors"));
+      error.object()["lint"] = lint_report;
+      json::Value expected = json::Value::make_object();
+      expected.object()["error"] = std::move(error);
+      expected.object()["run_id"] = *body->find("run_id");
+      EXPECT_EQ(response.body, json::dump(expected));
+    }
+  }
+
+  // Structurally valid, but the builder refuses it: the build error is a
+  // plain 400.
+  const std::string edgeless = spec("2", R"(["a"])", "[[0]]", "[]", "[[0]]");
+  for (const HttpResponse& response : post_everywhere(edgeless)) {
+    EXPECT_EQ(response.status, 400) << response.body;
+    EXPECT_EQ(response.body,
+              R"({"error":{"code":"bad_request","message":)"
+              R"("Builder::build: no edge configuration added"}})");
+  }
 }
 
 TEST(SvcService, LintEndpointReturnsFullReport) {

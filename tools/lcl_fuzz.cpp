@@ -277,10 +277,7 @@ int main(int argc, char** argv) {
   }
 
   lcl::obs::ResourceSampler::Options sampler_options;
-  sampler_options.resource_interval =
-      std::chrono::milliseconds(progress_interval_ms);
-  sampler_options.progress_interval =
-      std::chrono::milliseconds(progress_interval_ms);
+  sampler_options.interval = std::chrono::milliseconds(progress_interval_ms);
   sampler_options.run = &run;
   lcl::obs::ResourceSampler sampler(std::move(sampler_options));
   if (telemetry) sampler.start();
