@@ -14,7 +14,7 @@ Pool::Pool(Options options) : start_(std::chrono::steady_clock::now()) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  per_worker_ = std::make_unique<PerWorker[]>(threads);
+  busy_us_ = std::make_unique<std::atomic<std::uint64_t>[]>(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i]() { worker_loop(i); });
@@ -24,7 +24,7 @@ Pool::Pool(Options options) : start_(std::chrono::steady_clock::now()) {
 Pool::~Pool() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    // Drain-then-stop: everything still queued (and not cancelled) runs.
+    // Drain-then-stop: everything still queued runs.
     idle_.wait(lock, [this]() { return queue_.empty() && active_ == 0; });
     stopping_ = true;
   }
@@ -49,35 +49,9 @@ void Pool::wait_idle() {
   idle_.wait(lock, [this]() { return queue_.empty() && active_ == 0; });
 }
 
-void Pool::request_cancel() {
-  cancel_.store(true, std::memory_order_release);
-  std::deque<std::function<void()>> abandoned;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    abandoned.swap(queue_);
-    LCL_OBS_GAUGE_SET("batch.queue_depth", 0);
-  }
-  // Destroying an unrun packaged_task breaks its promise: every dropped
-  // task's future reports broken_promise rather than hanging. Destruction
-  // happens outside the lock - task destructors can be arbitrary code.
-  dropped_.fetch_add(abandoned.size(), std::memory_order_relaxed);
-  LCL_OBS_COUNTER_ADD("batch.tasks_dropped", abandoned.size());
-  abandoned.clear();
-  idle_.notify_all();
-}
-
 std::size_t Pool::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();
-}
-
-std::vector<Pool::WorkerStats> Pool::worker_stats() const {
-  std::vector<WorkerStats> stats(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    stats[i].busy_us = per_worker_[i].busy_us.load(std::memory_order_relaxed);
-    stats[i].tasks = per_worker_[i].tasks.load(std::memory_order_relaxed);
-  }
-  return stats;
 }
 
 std::uint64_t Pool::wall_us() const {
@@ -92,15 +66,14 @@ std::vector<double> Pool::busy_fractions() const {
   std::vector<double> fractions(workers_.size(), 0.0);
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     fractions[i] =
-        static_cast<double>(
-            per_worker_[i].busy_us.load(std::memory_order_relaxed)) /
+        static_cast<double>(busy_us_[i].load(std::memory_order_relaxed)) /
         static_cast<double>(wall);
   }
   return fractions;
 }
 
 void Pool::worker_loop(std::size_t worker_index) {
-  PerWorker& mine = per_worker_[worker_index];
+  std::atomic<std::uint64_t>& busy_us = busy_us_[worker_index];
   for (;;) {
     std::function<void()> task;
     {
@@ -125,9 +98,8 @@ void Pool::worker_loop(std::size_t worker_index) {
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - task_start)
             .count();
-    mine.busy_us.fetch_add(static_cast<std::uint64_t>(task_us),
-                           std::memory_order_relaxed);
-    mine.tasks.fetch_add(1, std::memory_order_relaxed);
+    busy_us.fetch_add(static_cast<std::uint64_t>(task_us),
+                      std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_relaxed);
     LCL_OBS_COUNTER_ADD("batch.tasks", 1);
     LCL_OBS_HISTOGRAM_RECORD("batch.task_us", task_us);

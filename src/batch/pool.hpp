@@ -23,17 +23,12 @@ namespace lcl::batch {
 /// exception it threw, so a failing task never takes down a worker (let
 /// alone the pool) - the caller decides, per task, what a failure means.
 ///
-/// Cancellation is cooperative: `request_cancel()` drops every task still
-/// queued (their futures report `std::future_errc::broken_promise`) and
-/// raises a flag that long-running tasks are expected to poll via
-/// `cancel_requested()`; already-running tasks are never interrupted.
-///
 /// Observability: each executed task runs under a `batch/task` span, and the
 /// pool keeps the `batch.queue_depth` / `batch.active_workers` gauges and
-/// the `batch.tasks` / `batch.tasks_dropped` counters current (obs is
-/// runtime-gated as everywhere else; an idle switch costs one atomic load).
+/// the `batch.tasks` counter current (obs is runtime-gated as everywhere
+/// else; an idle switch costs one atomic load).
 ///
-/// Destruction waits for all submitted-and-not-cancelled tasks to finish.
+/// Destruction waits for every submitted task to finish.
 class Pool {
  public:
   struct Options {
@@ -66,46 +61,25 @@ class Pool {
   /// submitted while waiting extend the wait.
   void wait_idle();
 
-  /// Drops all queued tasks (their futures break) and raises the
-  /// cooperative-cancellation flag; running tasks keep running.
-  void request_cancel();
-  bool cancel_requested() const noexcept {
-    return cancel_.load(std::memory_order_acquire);
-  }
-
   std::size_t thread_count() const noexcept { return workers_.size(); }
   /// Tasks that ran to the end. A worker counts a task after its future is
   /// ready, so the count is final only once `wait_idle()` has returned.
   std::uint64_t tasks_completed() const noexcept {
     return completed_.load(std::memory_order_relaxed);
   }
-  std::uint64_t tasks_dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
   std::size_t queue_depth() const;
 
-  /// Per-worker utilization since construction. busy_us counts time spent
-  /// inside tasks; busy_us / pool wall time is the worker's busy fraction,
-  /// and the fractions summed give the pool's effective parallelism -
-  /// the honest denominator for speedup claims on oversubscribed boxes.
-  struct WorkerStats {
-    std::uint64_t busy_us = 0;
-    std::uint64_t tasks = 0;
-  };
-  std::vector<WorkerStats> worker_stats() const;
   /// Microseconds since the pool was constructed.
   std::uint64_t wall_us() const;
-  /// busy fraction per worker in [0,1] over the pool's lifetime so far.
+  /// Busy fraction per worker in [0,1] over the pool's lifetime so far: time
+  /// spent inside tasks over pool wall time. The fractions summed give the
+  /// pool's effective parallelism - the honest denominator for speedup
+  /// claims on oversubscribed boxes.
   std::vector<double> busy_fractions() const;
 
  private:
   void enqueue(std::function<void()> run);
   void worker_loop(std::size_t worker_index);
-
-  struct PerWorker {
-    std::atomic<std::uint64_t> busy_us{0};
-    std::atomic<std::uint64_t> tasks{0};
-  };
 
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
@@ -114,12 +88,10 @@ class Pool {
   std::vector<std::thread> workers_;
   std::size_t active_ = 0;  // tasks currently executing (guarded by mutex_)
   bool stopping_ = false;   // destructor has begun (guarded by mutex_)
-  std::atomic<bool> cancel_{false};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  /// Sized to the worker count before any worker starts; workers index it
-  /// without synchronization.
-  std::unique_ptr<PerWorker[]> per_worker_;
+  /// Microseconds each worker spent inside tasks. Sized to the worker count
+  /// before any worker starts; workers index it without synchronization.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> busy_us_;
   std::chrono::steady_clock::time_point start_;
 };
 

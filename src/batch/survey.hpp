@@ -170,10 +170,12 @@ struct SurveyReport {
   std::string to_json() const;
 };
 
-/// Sweeps the family through lint -> classify -> speedup-synthesis on
-/// `options.jobs` workers, sharing `options.cache` across tasks. Per-member
-/// failures (budget blow-ups, pathological specs) are recorded in that
-/// member's row; they never abort the survey or the pool.
+/// Sweeps the family through classify -> speedup-synthesis
+/// (`survey_member`) on `options.jobs` workers, sharing `options.cache`
+/// across tasks. Members are not linted here: `spec_dir_family` lints the
+/// spec files when it loads them. Per-member failures (budget blow-ups,
+/// pathological specs) are recorded in that member's row; they never abort
+/// the survey or the pool.
 SurveyReport run_survey(const Family& family, const SurveyOptions& options);
 
 /// One member's report row, computed inline on the calling thread: the

@@ -53,26 +53,22 @@ WalkAutomaton walk_automaton(const NodeEdgeCheckableLcl& problem) {
   return a;
 }
 
-ChainPreflight chain_preflight(const NodeEdgeCheckableLcl& problem) {
-  ChainPreflight out{preflight_trim(problem), {}};
-  if (out.trimmed.trivially_unsolvable) return out;
-  out.automaton = walk_automaton(out.trimmed.problem);
+WalkAutomaton pruned_walk_automaton(const SpeedupEngine& engine) {
+  WalkAutomaton a = walk_automaton(engine.effective_base());
   if (LCL_OBS_ENABLED()) {
-    const auto& adjacency = out.automaton.adjacency;
     std::size_t edges = 0;
-    for (const auto& row : adjacency) edges += row.size();
-    LCL_OBS_COUNTER_ADD("classify.automaton_states", adjacency.size());
+    for (const auto& row : a.adjacency) edges += row.size();
+    LCL_OBS_COUNTER_ADD("classify.automaton_states", a.adjacency.size());
     LCL_OBS_COUNTER_ADD("classify.automaton_edges", edges);
-    LCL_OBS_HISTOGRAM_RECORD("classify.automaton_size", adjacency.size());
+    LCL_OBS_HISTOGRAM_RECORD("classify.automaton_size", a.adjacency.size());
   }
-  return out;
+  return a;
 }
 
-CycleComplexity settle_flexible(const NodeEdgeCheckableLcl& problem,
-                                int max_steps, std::vector<int> degrees,
+CycleComplexity settle_flexible(SpeedupEngine& engine, int max_steps,
+                                std::vector<int> degrees,
                                 SpeedupEngine::Memo* memo,
                                 int& collapse_step) {
-  SpeedupEngine engine(problem);
   SpeedupEngine::Options options;
   options.max_steps = max_steps;
   options.degrees = std::move(degrees);

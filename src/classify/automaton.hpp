@@ -5,7 +5,6 @@
 
 #include "classify/cycle_classifier.hpp"
 #include "re/engine.hpp"
-#include "re/reduce.hpp"
 #include "util/label_set.hpp"
 #include "util/types.hpp"
 
@@ -13,9 +12,10 @@ namespace lcl {
 
 /// Internal pieces shared by the cycle and path classifiers: the input
 /// check, the "walk automaton" of an LCL on chains (one state per output
-/// label) with the pre-flight that precedes it, the analysis of its
-/// strongly connected structure, and the speedup-engine run that separates
-/// O(1) from Theta(log* n).
+/// label), the analysis of its strongly connected structure, and the
+/// speedup-engine run that separates O(1) from Theta(log* n). Each
+/// classifier constructs its engine first and reads the pruned problem and
+/// the L020 verdict from the engine's pre-flight (`SpeedupEngine::preflight`).
 
 /// Throws `std::invalid_argument`, naming `classifier`, unless `problem`
 /// has no inputs (|Sigma_in| = 1) and max degree >= 2.
@@ -35,24 +35,20 @@ struct WalkAutomaton {
 };
 WalkAutomaton walk_automaton(const NodeEdgeCheckableLcl& problem);
 
-/// Both classifiers' head: the pre-flight (`preflight_trim`) of `problem`
-/// and, unless its L020 verdict already settles the class as unsolvable,
-/// the walk automaton of the pruned problem, counted under
-/// `classify.automaton_*`. Pruning never changes the class.
-struct ChainPreflight {
-  TrimmedProblem trimmed;
-  WalkAutomaton automaton;  // empty after an L020 verdict
-};
-ChainPreflight chain_preflight(const NodeEdgeCheckableLcl& problem);
+/// Both classifiers' automaton: the walk automaton of `engine`'s
+/// pre-flight-pruned base, counted under `classify.automaton_*`. Call it
+/// only when the pre-flight's L020 verdict has not settled the class as
+/// unsolvable. Pruning never changes the class.
+WalkAutomaton pruned_walk_automaton(const SpeedupEngine& engine);
 
 /// Both classifiers' tail, for a problem that is solvable on all long
-/// chains with a flexible automaton: the speedup engine (Theorem 3.10
+/// chains with a flexible automaton: running `engine` (Theorem 3.10
 /// machinery, 0-round tests on `degrees`) semidecides O(1) within
 /// `max_steps` steps. Returns `kConstant` and sets `collapse_step` to the
 /// step k at which `f^k(problem)` became 0-round solvable, or returns
 /// `kLogStar`. `memo`, when given, is the engine's memo.
-CycleComplexity settle_flexible(const NodeEdgeCheckableLcl& problem,
-                                int max_steps, std::vector<int> degrees,
+CycleComplexity settle_flexible(SpeedupEngine& engine, int max_steps,
+                                std::vector<int> degrees,
                                 SpeedupEngine::Memo* memo,
                                 int& collapse_step);
 

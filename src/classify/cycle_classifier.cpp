@@ -29,16 +29,16 @@ CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
   LCL_OBS_SPAN(span, "classify/cycles", "classify");
   CycleClassification result;
 
-  // Pre-flight: an L020 verdict settles the classification outright, and
-  // dead-label pruning shrinks the walk automaton (and the speedup engine's
-  // power-set base) without changing the complexity class.
-  const ChainPreflight preflight = chain_preflight(problem);
-  result.pruned_labels = preflight.trimmed.dead_labels;
-  if (preflight.trimmed.trivially_unsolvable) {
+  // The engine's pre-flight: an L020 verdict settles the classification
+  // outright, and dead-label pruning shrinks the walk automaton (and the
+  // engine's power-set base) without changing the complexity class.
+  SpeedupEngine engine(problem);
+  result.pruned_labels = engine.preflight().dead_labels;
+  if (engine.preflight().trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
     return result;
   }
-  const auto& adj = preflight.automaton.adjacency;
+  const auto adj = pruned_walk_automaton(engine).adjacency;
   const auto component = strongly_connected_components(adj);
   int components = 0;
   for (const int c : component) components = std::max(components, c + 1);
@@ -61,9 +61,8 @@ CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
   }
 
   // Flexible: O(1) or Theta(log* n), told apart on degree 2.
-  result.complexity =
-      settle_flexible(preflight.trimmed.problem, max_speedup_steps, {2}, memo,
-                      result.zero_round_collapse_step);
+  result.complexity = settle_flexible(engine, max_speedup_steps, {2}, memo,
+                                      result.zero_round_collapse_step);
   return result;
 }
 

@@ -37,9 +37,10 @@ struct CycleClassification {
   /// Step at which the round-elimination engine certified O(1)
   /// (-1: no collapse within budget).
   int zero_round_collapse_step = -1;
-  /// Dead output labels the pre-flight (`preflight_trim`) pruned before the
-  /// walk automaton was built (0 for well-formed specs). An L020 verdict
-  /// short-circuits straight to `kUnsolvable`.
+  /// Dead output labels the classifier's engine pre-flight
+  /// (`SpeedupEngine::preflight`) pruned before the walk automaton was built
+  /// (0 for well-formed specs). An L020 verdict short-circuits straight to
+  /// `kUnsolvable`.
   std::size_t pruned_labels = 0;
 };
 

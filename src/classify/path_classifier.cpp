@@ -71,17 +71,17 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
   LCL_OBS_SPAN(span, "classify/paths", "classify");
   PathClassification result;
 
-  // Pre-flight, mirroring `classify_on_cycles`: L020 short-circuits,
-  // pruning shrinks the automaton without changing the class. Note that
-  // `solvable_for_all_lengths` stays correct too - dead labels occur in no
-  // valid labeling of any path.
-  const ChainPreflight preflight = chain_preflight(problem);
-  result.pruned_labels = preflight.trimmed.dead_labels;
-  if (preflight.trimmed.trivially_unsolvable) {
+  // The engine's pre-flight, mirroring `classify_on_cycles`: L020
+  // short-circuits, pruning shrinks the automaton without changing the
+  // class. Note that `solvable_for_all_lengths` stays correct too - dead
+  // labels occur in no valid labeling of any path.
+  SpeedupEngine engine(problem);
+  result.pruned_labels = engine.preflight().dead_labels;
+  if (engine.preflight().trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
     return result;
   }
-  const WalkAutomaton& a = preflight.automaton;
+  const WalkAutomaton a = pruned_walk_automaton(engine);
   const std::size_t k = a.adjacency.size();
   const auto seq = reach_sequence(a);
   LCL_OBS_HISTOGRAM_RECORD("classify.reach_sequence_length",
@@ -127,9 +127,8 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
   }
 
   // Flexible: O(1) or Theta(log* n), told apart on degrees 1 and 2.
-  result.complexity =
-      settle_flexible(preflight.trimmed.problem, max_speedup_steps, {1, 2},
-                      memo, result.zero_round_collapse_step);
+  result.complexity = settle_flexible(engine, max_speedup_steps, {1, 2}, memo,
+                                      result.zero_round_collapse_step);
   return result;
 }
 

@@ -281,15 +281,6 @@ NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_node(
   return *this;
 }
 
-NodeEdgeCheckableLcl::Builder&
-NodeEdgeCheckableLcl::Builder::allow_node_named(
-    const std::vector<std::string>& names) {
-  std::vector<Label> labels;
-  labels.reserve(names.size());
-  for (const auto& n : names) labels.push_back(tables_.output.at(n));
-  return allow_node(std::move(labels));
-}
-
 NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_edge(
     Label a, Label b) {
   check_output_label(a);
@@ -298,12 +289,6 @@ NodeEdgeCheckableLcl::Builder& NodeEdgeCheckableLcl::Builder::allow_edge(
   tables_.edge_partners[a].insert(b);
   tables_.edge_partners[b].insert(a);
   return *this;
-}
-
-NodeEdgeCheckableLcl::Builder&
-NodeEdgeCheckableLcl::Builder::allow_edge_named(const std::string& a,
-                                                const std::string& b) {
-  return allow_edge(tables_.output.at(a), tables_.output.at(b));
 }
 
 NodeEdgeCheckableLcl::Builder&

@@ -166,12 +166,8 @@ class NodeEdgeCheckableLcl::Builder {
   /// Move overload: additionally reuses the label vector.
   Builder& allow_node(std::vector<Label>&& labels);
 
-  /// Convenience overload taking label names in the output alphabet.
-  Builder& allow_node_named(const std::vector<std::string>& names);
-
   /// Allows the edge configuration `{a, b}`.
   Builder& allow_edge(Label a, Label b);
-  Builder& allow_edge_named(const std::string& a, const std::string& b);
 
   /// Permits output `out` on half-edges whose input label is `in`.
   Builder& allow_output_for_input(Label in, Label out);

@@ -169,6 +169,4 @@ Graph make_shortcut_path(std::size_t n) {
   return b.build();
 }
 
-Graph make_high_girth_cycle(std::size_t n) { return make_cycle(n); }
-
 }  // namespace lcl

@@ -50,9 +50,4 @@ Graph make_caterpillar(std::size_t spine, int legs);
 /// `0 .. n-1`.
 Graph make_shortcut_path(std::size_t n);
 
-/// A "high-girth-like" graph: a cycle of length `n` (girth n). Placeholder
-/// family for the paper's high-girth remark; on constant-degree graphs a
-/// long cycle is the canonical high-girth witness at Delta = 2.
-Graph make_high_girth_cycle(std::size_t n);
-
 }  // namespace lcl

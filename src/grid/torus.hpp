@@ -44,10 +44,6 @@ class OrientedTorus {
   static Label backward_label(int dim) {
     return static_cast<Label>(2 * dim + 1);
   }
-  /// Size of the orientation input alphabet: 2 per dimension.
-  std::size_t orientation_alphabet_size() const {
-    return 2 * static_cast<std::size_t>(dimensions());
-  }
 
  private:
   std::vector<std::size_t> extents_;

@@ -16,9 +16,10 @@ struct LintOptions {
   /// L030: the uniform-label 0-round triviality check.
   bool zero_round = true;
   /// L050/L052: label-permutation canonicalization of the pruned spec
-  /// (`lint/canonical.hpp`). Off by default - the engine/classifier
-  /// pre-flights do not pay the orbit search; `lcl_lint` turns it on. When
-  /// on, the canonicalizing permutation is folded into `canonical` and the
+  /// (`lint/canonical.hpp`). Off by default, so the fuzz generator's lint
+  /// policy and the fuzz oracles' pruning do not pay the orbit search;
+  /// `lcl_lint` and `lcld`'s `/v1/lint` turn it on. When on, the
+  /// canonicalizing permutation is folded into `canonical` and the
   /// `old_to_new`/`new_to_old` maps, so `--fix` applies it.
   bool canonical_labels = false;
 };
@@ -101,8 +102,8 @@ struct LintReport {
 ///      spec; the permutation composes into the label maps.
 LintReport lint_spec(const ProblemSpec& spec, const LintOptions& options = {});
 
-/// Lints an already-built problem (structural passes are vacuously clean;
-/// this is the form the engine, classifiers, and fuzzer pre-flights use).
+/// Lints an already-built problem (structural passes are vacuously clean).
+/// The fuzz generator's lint policy uses it to flag degenerate draws.
 LintReport lint_problem(const NodeEdgeCheckableLcl& problem,
                         const LintOptions& options = {});
 

@@ -169,13 +169,4 @@ std::vector<Label> LinialColoring::finalize(const NodeContext& ctx,
                             static_cast<Label>(state[kColor]));
 }
 
-std::vector<Label> LinialColoring::node_colors(
-    const Graph& graph, const HalfEdgeLabeling& output) {
-  std::vector<Label> colors(graph.node_count(), 0);
-  for (NodeId v = 0; v < graph.node_count(); ++v) {
-    if (graph.degree(v) > 0) colors[v] = output[graph.half_edge(v, 0)];
-  }
-  return colors;
-}
-
 }  // namespace lcl

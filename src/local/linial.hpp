@@ -61,10 +61,6 @@ class LinialColoring final : public SynchronousAlgorithm {
     return static_cast<int>(schedule_.steps.size());
   }
 
-  /// Reads the per-node colors out of the final half-edge labeling.
-  static std::vector<Label> node_colors(const Graph& graph,
-                                        const HalfEdgeLabeling& output);
-
  private:
   int max_degree_;
   std::uint64_t id_range_;

@@ -8,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "obs/run_context.hpp"
 #include "re/kernel.hpp"
-#include "re/reduce.hpp"
 
 namespace lcl {
 
@@ -34,15 +33,15 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
  public:
   /// `base` is the problem the levels actually lift down to (the engine's
   /// effective, possibly pre-flight-pruned, base); `new_to_old` translates its
-  /// labels back to the original problem's (empty = identity).
+  /// labels back to the original problem's.
   SynthesizedAlgorithm(const NodeEdgeCheckableLcl& base,
                        const std::vector<SequenceLevel>& levels,
                        ZeroRoundAlgorithm witness,
-                       std::vector<Label> new_to_old)
+                       const std::vector<Label>& new_to_old)
       : base_(base),
         levels_(levels),
         witness_(std::move(witness)),
-        new_to_old_(std::move(new_to_old)) {}
+        new_to_old_(new_to_old) {}
 
   int radius(std::size_t advertised_n) const override {
     (void)advertised_n;
@@ -52,9 +51,7 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
   std::vector<Label> outputs(const LocalView& view) const override {
     std::map<std::pair<std::size_t, NodeId>, std::vector<Label>> memo;
     std::vector<Label> result = labels_at(view, 0, view.center(), memo);
-    if (!new_to_old_.empty()) {
-      for (auto& l : result) l = new_to_old_[l];
-    }
+    for (auto& l : result) l = new_to_old_[l];
     return result;
   }
 
@@ -110,7 +107,7 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
   const NodeEdgeCheckableLcl& base_;
   const std::vector<SequenceLevel>& levels_;
   ZeroRoundAlgorithm witness_;
-  std::vector<Label> new_to_old_;
+  const std::vector<Label>& new_to_old_;
 };
 
 }  // namespace
@@ -124,7 +121,9 @@ SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
 }
 
 SpeedupEngine::SpeedupEngine(NodeEdgeCheckableLcl base)
-    : base_(std::move(base)), effective_base_(base_) {}
+    : base_(std::move(base)), preflight_(preflight_trim(base_)) {
+  LCL_OBS_COUNTER_ADD("re.preflight_dead_labels", preflight_.dead_labels);
+}
 
 const NodeEdgeCheckableLcl& SpeedupEngine::problem_at(std::size_t i) const {
   if (i == 0) return base_;
@@ -157,36 +156,28 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
   witness_.reset();
   witness_step_ = -1;
   memo_served_ = false;
-  effective_base_ = base_;
-  prune_new_to_old_.clear();
 
-  // Pre-flight: an L020 verdict short-circuits the run; dead-label pruning
-  // shrinks the alphabet `R`'s power set is built over. Both are sound:
-  // dead labels occur in no correct solution on any instance, so the
-  // pruned problem has the same solvability, round complexity, and 0-round
-  // verdicts as the original.
-  auto preflight = preflight_trim(base_);
-  outcome.preflight_dead_labels = preflight.dead_labels;
-  LCL_OBS_COUNTER_ADD("re.preflight_dead_labels", preflight.dead_labels);
-  if (preflight.trivially_unsolvable) {
+  // The constructor's pre-flight: an L020 verdict short-circuits the run;
+  // dead-label pruning shrinks the alphabet `R`'s power set is built over.
+  // Both are sound: dead labels occur in no correct solution on any
+  // instance, so the pruned problem has the same solvability, round
+  // complexity, and 0-round verdicts as the original.
+  outcome.preflight_dead_labels = preflight_.dead_labels;
+  if (preflight_.trivially_unsolvable) {
     outcome.detected_unsolvable = true;
     outcome.blowup_message =
         "preflight lint (L020): the pruned constraint set is empty";
     LCL_OBS_EVENT1("re/preflight_unsolvable", "re", "dead_labels",
-                   preflight.dead_labels);
+                   preflight_.dead_labels);
     return outcome;
   }
-  if (preflight.dead_labels > 0) {
-    effective_base_ = std::move(preflight.problem);
-    prune_new_to_old_ = std::move(preflight.new_to_old);
-  }
 
-  if (zero_round(effective_base_, 0, options, memo)) {
+  if (zero_round(effective_base(), 0, options, memo)) {
     outcome.zero_round_step = 0;
     return outcome;
   }
 
-  auto previous_signature = signature(effective_base_);
+  auto previous_signature = signature(effective_base());
   for (int step = 0; step < options.max_steps; ++step) {
     const auto start = std::chrono::steady_clock::now();
     LCL_OBS_SPAN(step_span, "re/step", "re");
@@ -196,7 +187,7 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
     bool computed = false;
     try {
       const NodeEdgeCheckableLcl& current =
-          levels_.empty() ? effective_base_ : levels_.back().next.problem;
+          levels_.empty() ? effective_base() : levels_.back().next.problem;
       SequenceLevel level;
       const auto compute = [&]() {
         computed = true;
@@ -265,7 +256,7 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
       // exact match (up to relabeling outputs) certifies the fixed point.
       const NodeEdgeCheckableLcl& prior =
           levels_.size() >= 2 ? levels_[levels_.size() - 2].next.problem
-                              : effective_base_;
+                              : effective_base();
       if (same_constraints(latest, prior) ||
           isomorphic_constraints(latest, prior)) {
         outcome.fixed_point = true;
@@ -301,7 +292,7 @@ std::unique_ptr<BallAlgorithm> SpeedupEngine::synthesize() const {
   static const std::vector<SequenceLevel> kNoLevels;
   const auto& lifting_levels = witness_step_ == 0 ? kNoLevels : levels_;
   return std::make_unique<SynthesizedAlgorithm>(
-      effective_base_, lifting_levels, *witness_, prune_new_to_old_);
+      preflight_.problem, lifting_levels, *witness_, preflight_.new_to_old);
 }
 
 }  // namespace lcl

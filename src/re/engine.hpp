@@ -9,6 +9,7 @@
 #include "core/lcl.hpp"
 #include "local/view.hpp"
 #include "re/lift.hpp"
+#include "re/reduce.hpp"
 #include "re/step.hpp"
 #include "re/zero_round.hpp"
 
@@ -34,11 +35,13 @@ SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
 /// algorithm, built from the `A_det` witness by applying Lemma 3.9 `k`
 /// times (`choose_edge_pair` and `choose_node_labels`, re/lift.hpp).
 ///
-/// Every run starts with one pre-flight, `preflight_trim` (the support
-/// fixpoint of `reduce()`'s trim pass) on the base problem: an L020 verdict
-/// (trivially unsolvable) short-circuits the run, and dead-label pruning
-/// shrinks the base alphabet - cutting the `2^k - 1` power-set base that
-/// `R` pays - without changing any verdict. The iterates need no
+/// The constructor runs the engine's one pre-flight, `preflight_trim` (the
+/// support fixpoint of `reduce()`'s trim pass) on the base problem, and
+/// keeps it (`preflight()`): an L020 verdict (trivially unsolvable)
+/// short-circuits every run, and dead-label pruning shrinks the base
+/// alphabet - cutting the `2^k - 1` power-set base that `R` pays - without
+/// changing any verdict. The chain classifiers read their pruned problem
+/// and L020 verdict from the same pre-flight. The iterates need no
 /// pre-flight of their own: with `reduce` on, reduction's trim has already
 /// run the same fixpoint on them.
 class SpeedupEngine {
@@ -125,11 +128,14 @@ class SpeedupEngine {
   /// problem as given; when the pre-flight pruned it, the sequence for
   /// `i >= 1` is derived from `effective_base()` instead.
   const NodeEdgeCheckableLcl& problem_at(std::size_t i) const;
-  /// The problem the sequence actually starts from: the pruned base when
-  /// the pre-flight removed dead labels, the base problem otherwise.
+  /// The problem the sequence starts from, valid from construction on: the
+  /// pre-flight's pruned base, which is the base problem itself when no
+  /// label died and after an L020 verdict.
   const NodeEdgeCheckableLcl& effective_base() const noexcept {
-    return effective_base_;
+    return preflight_.trivially_unsolvable ? base_ : preflight_.problem;
   }
+  /// The constructor's pre-flight, `preflight_trim` of the base problem.
+  const TrimmedProblem& preflight() const noexcept { return preflight_; }
   std::size_t steps_applied() const noexcept { return levels_.size(); }
 
   /// After `run` found `zero_round_step == k`: the synthesized k-round
@@ -148,11 +154,9 @@ class SpeedupEngine {
                   const Options& options, Memo* memo);
 
   NodeEdgeCheckableLcl base_;
-  /// The pruned base (== `base_` until a pre-flight prunes it). The
-  /// levels always map effective_base_ -> pi_1 -> ...; synthesized outputs
-  /// are translated back to `base_` labels via `prune_new_to_old_`.
-  NodeEdgeCheckableLcl effective_base_;
-  std::vector<Label> prune_new_to_old_;  // empty = identity
+  /// The levels map `preflight_.problem` -> pi_1 -> ...; synthesized outputs
+  /// are translated back to `base_` labels via `preflight_.new_to_old`.
+  TrimmedProblem preflight_;
   std::vector<SequenceLevel> levels_;  // level i maps pi_i -> pi_{i+1}
   std::optional<ZeroRoundAlgorithm> witness_;
   int witness_step_ = -1;

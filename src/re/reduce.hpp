@@ -122,14 +122,14 @@ struct TrimmedProblem {
   NodeEdgeCheckableLcl problem;
 };
 
-/// The pre-flight of `SpeedupEngine::run` and of both classifiers:
-/// `reduce()`'s trim pass alone, run to its fixpoint on the problem's
-/// tables, under the `re/preflight` span (arg `dead_labels`). It finds the
-/// same dead labels, L020 verdict, `new_to_old` and pruned problem as
-/// `lint::prune_problem`, without converting the problem to a spec. The
-/// pruned problem has the input's solvability, round complexity and
-/// 0-round verdicts on every instance, since dead labels occur in no
-/// correct solution.
+/// The pre-flight that `SpeedupEngine`'s constructor runs once, and that
+/// both classifiers read from their engine: `reduce()`'s trim pass alone,
+/// run to its fixpoint on the problem's tables, under the `re/preflight`
+/// span (arg `dead_labels`). It finds the same dead labels, L020 verdict,
+/// `new_to_old` and pruned problem as `lint::prune_problem`, without
+/// converting the problem to a spec. The pruned problem has the input's
+/// solvability, round complexity and 0-round verdicts on every instance,
+/// since dead labels occur in no correct solution.
 TrimmedProblem preflight_trim(const NodeEdgeCheckableLcl& problem);
 
 }  // namespace lcl

@@ -1,6 +1,5 @@
 #include "util/combinatorics.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -71,11 +70,6 @@ bool for_each_selection(
     }
     if (k == 0) return false;
   }
-}
-
-std::vector<std::uint32_t> sorted_multiset(std::vector<std::uint32_t> labels) {
-  std::sort(labels.begin(), labels.end());
-  return labels;
 }
 
 }  // namespace lcl

@@ -37,9 +37,6 @@ bool for_each_selection(
     const std::vector<LabelSet>& sets,
     const std::function<bool(const std::vector<std::uint32_t>&)>& visit);
 
-/// Sorts a copy of `labels` ascending (canonical multiset form).
-std::vector<std::uint32_t> sorted_multiset(std::vector<std::uint32_t> labels);
-
 /// Invokes `visit(sub)` for every non-empty submask of `mask`, in strictly
 /// increasing numeric order, via the upward subset walk
 /// `sub = (sub - mask) & mask` from 0 - `2^popcount(mask) - 1` visits, one

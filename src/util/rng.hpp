@@ -39,8 +39,6 @@ class SplitRng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  bool next_bool() { return (next_u64() & 1) != 0; }
-
   /// Derives an independent child stream. Streams forked with different
   /// `stream_id`s from the same parent are statistically independent.
   SplitRng fork(std::uint64_t stream_id) const {

@@ -3,40 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace lcl {
 namespace {
 
 using batch::Pool;
-
-/// A hand-rolled latch (the toolchain's <latch> is avoided so the tests
-/// match the library's own C++20-subset diet).
-class Gate {
- public:
-  void open() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this]() { return open_; });
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
 
 TEST(BatchPool, RunsTasksAndReturnsValues) {
   Pool pool(Pool::Options{4});
@@ -89,41 +63,6 @@ TEST(BatchPool, WaitIdleDrainsTheQueue) {
   pool.wait_idle();
   EXPECT_EQ(done.load(), 50);
   EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
-TEST(BatchPool, CancelDropsQueuedTasksWithBrokenPromises) {
-  Pool pool(Pool::Options{1});
-  Gate release;
-  std::atomic<bool> blocker_ran{false};
-  // Occupy the single worker so everything else stays queued.
-  auto blocker = pool.submit([&]() {
-    blocker_ran.store(true);
-    release.wait();
-  });
-  std::vector<std::future<int>> queued;
-  for (int i = 0; i < 5; ++i) {
-    queued.push_back(pool.submit([i]() { return i; }));
-  }
-  // Wait until the blocker actually holds the worker.
-  while (!blocker_ran.load()) {
-    std::this_thread::yield();
-  }
-  EXPECT_FALSE(pool.cancel_requested());
-  pool.request_cancel();
-  EXPECT_TRUE(pool.cancel_requested());
-  EXPECT_EQ(pool.tasks_dropped(), 5u);
-  release.open();
-  blocker.get();  // the running task was never interrupted
-  for (auto& f : queued) {
-    try {
-      f.get();
-      FAIL() << "dropped task's future did not throw";
-    } catch (const std::future_error& e) {
-      EXPECT_EQ(e.code(), std::make_error_code(std::future_errc::broken_promise));
-    }
-  }
-  // The pool still accepts and runs work after a cancellation sweep.
-  EXPECT_EQ(pool.submit([]() { return 42; }).get(), 42);
 }
 
 TEST(BatchPool, ManyThreadsManyTasksStress) {

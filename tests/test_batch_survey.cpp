@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -14,11 +15,15 @@
 #include <vector>
 
 #include "batch/cache.hpp"
+#include "classify/path_classifier.hpp"
 #include "core/problems.hpp"
 #include "lint/canonical.hpp"
 #include "lint/spec.hpp"
 #include "lint/spec_io.hpp"
+#include "obs/exporter.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_reader.hpp"
 #include "re/engine.hpp"
 
 namespace lcl {
@@ -557,6 +562,94 @@ TEST(Survey, MatchesTheCommittedGoldenReport) {
          "--report-json=tests/golden/survey-d2-l2.json";
 }
 #endif
+
+// ---------------------------------------------------------------------------
+// One pre-flight per engine: `SpeedupEngine`'s constructor trims the base
+// problem once, and the chain classifiers take their pruned problem and L020
+// verdict from their own engine's pre-flight. The tests count `re/preflight`
+// spans; they live here because this binary links every layer involved.
+
+/// The number of `re/preflight` spans `body` records in a JSONL trace.
+std::size_t preflight_spans(const std::function<void()>& body) {
+  // One file per test: ctest runs the tests of this binary in parallel.
+  const std::string path =
+      testing::TempDir() + "lcl_preflight_spans_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".jsonl";
+  {
+    obs::TraceSession session(path, obs::TraceFormat::kJsonl);
+    obs::TraceSession* previous = obs::TraceSession::set_current(&session);
+    body();
+    obs::TraceSession::set_current(previous);
+    session.close();
+  }
+  obs::ParsedTrace trace;
+  std::string error;
+  EXPECT_TRUE(obs::parse_trace(read_file(path), &trace, &error)) << error;
+  std::size_t spans = 0;
+  for (const auto& r : trace.records) {
+    if (r.kind == obs::TraceRecord::Kind::kSpan && r.name == "re/preflight") {
+      ++spans;
+    }
+  }
+  return spans;
+}
+
+TEST(OnePreflightPerEngine, AnEngineRunTwiceTrimsItsBaseOnce) {
+  if (!obs::telemetry_compiled_in()) {
+    GTEST_SKIP() << "built with LCL_OBS=0";
+  }
+  EXPECT_EQ(preflight_spans([]() {
+              SpeedupEngine engine(problems::two_coloring(2));
+              SpeedupEngine::Options options;
+              options.max_steps = 2;
+              engine.run(options);
+              engine.run(options);
+            }),
+            1u);
+}
+
+TEST(OnePreflightPerEngine, CycleClassifierRunsTheEngineItTrimmedWith) {
+  if (!obs::telemetry_compiled_in()) {
+    GTEST_SKIP() << "built with LCL_OBS=0";
+  }
+  // 3-coloring is Theta(log* n): the automaton is flexible, so the
+  // classifier reaches its engine run.
+  CycleClassification verdict;
+  EXPECT_EQ(preflight_spans([&]() {
+              verdict = classify_on_cycles(problems::coloring(3, 2));
+            }),
+            1u);
+  EXPECT_EQ(verdict.complexity, CycleComplexity::kLogStar);
+}
+
+TEST(OnePreflightPerEngine, PathClassifierRunsTheEngineItTrimmedWith) {
+  if (!obs::telemetry_compiled_in()) {
+    GTEST_SKIP() << "built with LCL_OBS=0";
+  }
+  PathClassification verdict;
+  EXPECT_EQ(preflight_spans([&]() {
+              verdict = classify_on_paths(problems::coloring(3, 2));
+            }),
+            1u);
+  EXPECT_EQ(verdict.complexity, CycleComplexity::kLogStar);
+}
+
+TEST(OnePreflightPerEngine, ASurveyMemberTrimsOncePerEngine) {
+  if (!obs::telemetry_compiled_in()) {
+    GTEST_SKIP() << "built with LCL_OBS=0";
+  }
+  const Family family = members_named({"d2l2-n2-e2"});
+  ASSERT_EQ(family.members.size(), 1u);
+  batch::SurveyReport report;
+  // One engine per classifier, one for the `engine:` certificate.
+  EXPECT_EQ(preflight_spans([&]() {
+              report = batch::run_survey(family, default_options());
+            }),
+            3u);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].cycle_class, "Theta(log* n)");
+}
 
 }  // namespace
 }  // namespace lcl

@@ -337,6 +337,20 @@ TEST(LintEnginePreflight, TriviallyUnsolvableShortCircuitsTheRun) {
   EXPECT_NE(outcome.blowup_message.find("L020"), std::string::npos);
 }
 
+TEST(LintEnginePreflight, EffectiveBaseIsPrunedFromConstruction) {
+  const auto junked = with_junk_label(problems::maximal_matching(2), "J");
+  SpeedupEngine engine(junked);
+  // The constructor ran the pre-flight; no `run()` is needed.
+  EXPECT_EQ(engine.preflight().dead_labels, 1u);
+  EXPECT_EQ(engine.effective_base().output_alphabet().size(), 3u);
+  EXPECT_EQ(engine.problem_at(0).output_alphabet().size(), 4u);
+
+  // After an L020 verdict there is no pruned problem: the base stands in.
+  SpeedupEngine unsolvable(lint::build_spec(unsolvable_spec()));
+  EXPECT_TRUE(unsolvable.preflight().trivially_unsolvable);
+  EXPECT_EQ(&unsolvable.effective_base(), &unsolvable.problem_at(0));
+}
+
 TEST(LintEnginePreflight, PrunedBaseShrinksTheFirstOperatorApplication) {
   const auto junked = with_junk_label(problems::maximal_matching(2), "J");
 

@@ -1,6 +1,7 @@
 // Parallel landscape-survey CLI: sweeps a problem family through
-// lint -> classify -> speedup-synthesis on a worker pool, with a shared
-// content-addressed result cache.
+// classify -> speedup-synthesis on a worker pool, with a shared
+// content-addressed result cache. `--spec-dir` families are linted once,
+// when their spec files are loaded.
 //
 //   lcl_batch --family=exhaustive --delta=2 --labels=2 --jobs=8
 //   lcl_batch --family=generator --seeds=200 --jobs=0 --cache-dir=.cache
