@@ -137,14 +137,15 @@ class CacheMemo final : public SpeedupEngine::Memo {
 constexpr char kNameMarker = '\x1f';
 
 /// Fills `out`'s engine columns with what `SpeedupEngine::run` reports for
-/// `base`. The whole run is memoized per base problem, and on a miss the
-/// engine runs with `memo`, so base problems whose sequences merge (common
-/// after reduction) share the tail. The engine runs under the name
-/// `kNameMarker`, which makes its note (naming iterates such as
-/// `Rbar(R(<name>))`) a template: every replay renders it with the
-/// requesting member's name, whichever member stored it. Notes stored
-/// without the marker replay verbatim.
+/// `base`. The whole run is memoized per base problem, and on a miss
+/// `engine()`, the member's engine over `base` renamed to `kNameMarker`,
+/// runs with `memo`, so base problems whose sequences merge (common after
+/// reduction) share the tail. The marker name makes the run's note (naming
+/// iterates such as `Rbar(R(<name>))`) a template: every replay renders it
+/// with the requesting member's name, whichever member stored it. Notes
+/// stored without the marker replay verbatim.
 void cached_speedup(const NodeEdgeCheckableLcl& base,
+                    const std::function<SpeedupEngine&()>& engine,
                     const SpeedupEngine::Options& options, Cache* cache,
                     SpeedupEngine::Memo* memo,
                     const lint::CanonicalForm* base_form,
@@ -156,15 +157,13 @@ void cached_speedup(const NodeEdgeCheckableLcl& base,
       std::to_string(options.limits.max_configs) +
       (options.reduce ? ":r" : ":f");
   const Cache::Hit hit = cached(cache, kind, base, base_form, [&]() {
-    SpeedupEngine engine(
-        NodeEdgeCheckableLcl(base).renamed(std::string(1, kNameMarker)));
-    const auto outcome = engine.run(options, memo);
+    const auto outcome = engine().run(options, memo);
     json::Value value = json::Value::make_object();
     auto& object = value.object();
     object["zero_round_step"] =
         json::Value(static_cast<std::int64_t>(outcome.zero_round_step));
     object["steps_applied"] =
-        json::Value(static_cast<std::int64_t>(engine.steps_applied()));
+        json::Value(static_cast<std::int64_t>(outcome.steps.size()));
     object["fixed_point"] = json::Value(outcome.fixed_point);
     object["budget_exhausted"] = json::Value(outcome.budget_exhausted);
     object["detected_unsolvable"] = json::Value(outcome.detected_unsolvable);
@@ -236,6 +235,14 @@ ProblemOutcome survey_member(const FamilyMember& member,
             ? hex_signature(lint::spec_signature(canonical.spec))
             : hex_signature(out.signature) + "/incomplete";
     const lint::CanonicalForm* form = &canonical;
+    // The member's one engine, built on first use: the classifiers run it,
+    // then the `engine:` certificate walks the levels they left.
+    std::optional<SpeedupEngine> member_engine;
+    const auto engine = [&]() -> SpeedupEngine& {
+      if (member_engine) return *member_engine;
+      return member_engine.emplace(
+          NodeEdgeCheckableLcl(problem).renamed(std::string(1, kNameMarker)));
+    };
     if (classifiers_applicable(problem)) {
       const auto classify = [&](const std::string& kind,
                                 const auto& verdict_of, std::string& column) {
@@ -260,19 +267,19 @@ ProblemOutcome survey_member(const FamilyMember& member,
       if (options.classify_cycles) {
         classify(
             "cycle:s" + std::to_string(steps),
-            [&]() { return classify_on_cycles(problem, steps, steps_only); },
+            [&]() { return classify_on_cycles(engine(), steps, steps_only); },
             out.cycle_class);
       }
       if (options.classify_paths) {
         classify(
             "path:s" + std::to_string(steps),
-            [&]() { return classify_on_paths(problem, steps, steps_only); },
+            [&]() { return classify_on_paths(engine(), steps, steps_only); },
             out.path_class);
       }
     }
 
-    cached_speedup(problem, options.engine, cache, memo ? &*memo : nullptr,
-                   form, out);
+    cached_speedup(problem, engine, options.engine, cache,
+                   memo ? &*memo : nullptr, form, out);
 
     if (options.check_nodes >= 2) {
       const std::string kind = "check:n" +

@@ -14,7 +14,7 @@ namespace lcl {
 /// check, the "walk automaton" of an LCL on chains (one state per output
 /// label), the analysis of its strongly connected structure, and the
 /// speedup-engine run that separates O(1) from Theta(log* n). Each
-/// classifier constructs its engine first and reads the pruned problem and
+/// classifier runs the engine it is given and reads the pruned problem and
 /// the L020 verdict from the engine's pre-flight (`SpeedupEngine::preflight`).
 
 /// Throws `std::invalid_argument`, naming `classifier`, unless `problem`

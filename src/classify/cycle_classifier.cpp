@@ -22,17 +22,16 @@ std::string to_string(CycleComplexity c) {
   return "?";
 }
 
-CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
+CycleClassification classify_on_cycles(SpeedupEngine& engine,
                                        int max_speedup_steps,
                                        SpeedupEngine::Memo* memo) {
-  check_chain_problem(problem, "cycle classifier");
+  check_chain_problem(engine.problem_at(0), "cycle classifier");
   LCL_OBS_SPAN(span, "classify/cycles", "classify");
   CycleClassification result;
 
   // The engine's pre-flight: an L020 verdict settles the classification
   // outright, and dead-label pruning shrinks the walk automaton (and the
   // engine's power-set base) without changing the complexity class.
-  SpeedupEngine engine(problem);
   result.pruned_labels = engine.preflight().dead_labels;
   if (engine.preflight().trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
@@ -64,6 +63,13 @@ CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
   result.complexity = settle_flexible(engine, max_speedup_steps, {2}, memo,
                                       result.zero_round_collapse_step);
   return result;
+}
+
+CycleClassification classify_on_cycles(const NodeEdgeCheckableLcl& problem,
+                                       int max_speedup_steps,
+                                       SpeedupEngine::Memo* memo) {
+  SpeedupEngine engine(problem);
+  return classify_on_cycles(engine, max_speedup_steps, memo);
 }
 
 bool solvable_on_cycle_length(const NodeEdgeCheckableLcl& problem,

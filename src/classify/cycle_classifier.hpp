@@ -37,10 +37,9 @@ struct CycleClassification {
   /// Step at which the round-elimination engine certified O(1)
   /// (-1: no collapse within budget).
   int zero_round_collapse_step = -1;
-  /// Dead output labels the classifier's engine pre-flight
-  /// (`SpeedupEngine::preflight`) pruned before the walk automaton was built
-  /// (0 for well-formed specs). An L020 verdict short-circuits straight to
-  /// `kUnsolvable`.
+  /// Dead output labels the engine's pre-flight (`SpeedupEngine::preflight`)
+  /// pruned before the walk automaton was built (0 for well-formed specs).
+  /// An L020 verdict short-circuits straight to `kUnsolvable`.
   std::size_t pruned_labels = 0;
 };
 
@@ -61,7 +60,12 @@ struct CycleClassification {
 /// The O(1)/log* separation is a semidecision procedure in the spirit of
 /// Question 1.7: a collapse certifies O(1); exhausting the budget reports
 /// log* (correct for every problem whose collapse point, if any, lies
-/// within the budget). `memo`, when given, is the engine's memo.
+/// within the budget). `memo`, when given, is the engine's memo. The first
+/// form classifies `engine.problem_at(0)` and runs `engine`, which keeps the
+/// iterates it computes for the caller's next run; the second builds one.
+CycleClassification classify_on_cycles(SpeedupEngine& engine,
+                                       int max_speedup_steps,
+                                       SpeedupEngine::Memo* memo);
 CycleClassification classify_on_cycles(
     const NodeEdgeCheckableLcl& problem, int max_speedup_steps = 3,
     SpeedupEngine::Memo* memo = nullptr);

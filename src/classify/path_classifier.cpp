@@ -64,10 +64,10 @@ bool solvable_on_path_length(const NodeEdgeCheckableLcl& problem,
   return feasible_steps(a, seq, n - 2);
 }
 
-PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
+PathClassification classify_on_paths(SpeedupEngine& engine,
                                      int max_speedup_steps,
                                      SpeedupEngine::Memo* memo) {
-  check_chain_problem(problem, "path classifier");
+  check_chain_problem(engine.problem_at(0), "path classifier");
   LCL_OBS_SPAN(span, "classify/paths", "classify");
   PathClassification result;
 
@@ -75,7 +75,6 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
   // short-circuits, pruning shrinks the automaton without changing the
   // class. Note that `solvable_for_all_lengths` stays correct too - dead
   // labels occur in no valid labeling of any path.
-  SpeedupEngine engine(problem);
   result.pruned_labels = engine.preflight().dead_labels;
   if (engine.preflight().trivially_unsolvable) {
     result.complexity = CycleComplexity::kUnsolvable;
@@ -130,6 +129,13 @@ PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
   result.complexity = settle_flexible(engine, max_speedup_steps, {1, 2}, memo,
                                       result.zero_round_collapse_step);
   return result;
+}
+
+PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
+                                     int max_speedup_steps,
+                                     SpeedupEngine::Memo* memo) {
+  SpeedupEngine engine(problem);
+  return classify_on_paths(engine, max_speedup_steps, memo);
 }
 
 }  // namespace lcl

@@ -26,7 +26,11 @@ struct PathClassification {
 ///  - feasible for all large n (some gcd-1 SCC on a start-to-end route, or
 ///    enough slack in walk lengths) => Theta(log* n) or, when the round
 ///    elimination engine collapses (degrees {1, 2}), O(1).
-/// `memo`, when given, is the engine's memo.
+/// `memo`, when given, is the engine's memo; the two forms are those of
+/// `classify_on_cycles`.
+PathClassification classify_on_paths(SpeedupEngine& engine,
+                                     int max_speedup_steps,
+                                     SpeedupEngine::Memo* memo);
 PathClassification classify_on_paths(const NodeEdgeCheckableLcl& problem,
                                      int max_speedup_steps = 2,
                                      SpeedupEngine::Memo* memo = nullptr);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -35,7 +36,7 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
   /// effective, possibly pre-flight-pruned, base); `new_to_old` translates its
   /// labels back to the original problem's.
   SynthesizedAlgorithm(const NodeEdgeCheckableLcl& base,
-                       const std::vector<SequenceLevel>& levels,
+                       std::span<const SequenceLevel> levels,
                        ZeroRoundAlgorithm witness,
                        const std::vector<Label>& new_to_old)
       : base_(base),
@@ -105,7 +106,7 @@ class SynthesizedAlgorithm final : public BallAlgorithm {
   }
 
   const NodeEdgeCheckableLcl& base_;
-  const std::vector<SequenceLevel>& levels_;
+  std::span<const SequenceLevel> levels_;
   ZeroRoundAlgorithm witness_;
   const std::vector<Label>& new_to_old_;
 };
@@ -152,7 +153,12 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
   LCL_OBS_SPAN(run_span, "re/run", "re");
   LCL_OBS_COUNTER_ADD("re.runs", 1);
   Outcome outcome;
-  levels_.clear();
+  if (options.limits != limits_ || options.reduce != reduce_) {
+    levels_.clear();
+    held_.clear();
+    limits_ = options.limits;
+    reduce_ = options.reduce;
+  }
   witness_.reset();
   witness_step_ = -1;
   memo_served_ = false;
@@ -180,69 +186,75 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
   auto previous_signature = signature(effective_base());
   for (int step = 0; step < options.max_steps; ++step) {
     const auto start = std::chrono::steady_clock::now();
-    LCL_OBS_SPAN(step_span, "re/step", "re");
-    LCL_OBS_SPAN_ARG(step_span, "index", step);
-    StepStats stats;
-    stats.index = step;
-    bool computed = false;
-    try {
-      const NodeEdgeCheckableLcl& current =
-          levels_.empty() ? effective_base() : levels_.back().next.problem;
-      SequenceLevel level;
-      const auto compute = [&]() {
-        computed = true;
-        level = speedup_step(current, options.limits, options.reduce);
-        stats.labels_psi = level.psi.problem.output_alphabet().size();
-      };
-      if (memo == nullptr) {
-        compute();
-      } else {
-        Memo::Step served = memo->step(current, options, [&]() {
+    const auto i = static_cast<std::size_t>(step);
+    if (i == levels_.size()) {
+      LCL_OBS_SPAN(step_span, "re/step", "re");
+      LCL_OBS_SPAN_ARG(step_span, "index", step);
+      StepStats stats;
+      stats.index = step;
+      bool computed = false;
+      try {
+        const NodeEdgeCheckableLcl& current =
+            levels_.empty() ? effective_base() : levels_.back().next.problem;
+        SequenceLevel level;
+        const auto compute = [&]() {
+          computed = true;
+          level = speedup_step(current, options.limits, options.reduce);
+          stats.labels_psi = level.psi.problem.output_alphabet().size();
+        };
+        if (memo == nullptr) {
           compute();
-          return Memo::Step{level.next.problem, stats.labels_psi};
-        });
-        if (!computed) {
-          // The constraints computing the step gives, under the name it
-          // gives; no lifting data.
-          stats.labels_psi = served.labels_psi;
-          level.next.problem = std::move(served.next)
-                                   .renamed("Rbar(R(" + current.name() + "))");
-          memo_served_ = true;
+        } else {
+          Memo::Step served = memo->step(current, options, [&]() {
+            compute();
+            return Memo::Step{level.next.problem, stats.labels_psi};
+          });
+          if (!computed) {
+            // The constraints computing the step gives, under the name it
+            // gives; no lifting data.
+            stats.labels_psi = served.labels_psi;
+            level.next.problem =
+                std::move(served.next)
+                    .renamed("Rbar(R(" + current.name() + "))");
+          }
         }
+        stats.labels_next = level.next.problem.output_alphabet().size();
+        stats.node_configs = level.next.problem.total_node_configs();
+        stats.edge_configs = level.next.problem.edge_configs().size();
+        levels_.push_back(std::move(level));
+        held_.push_back(Held{stats, !computed});
+      } catch (const ReBlowupError& e) {
+        outcome.budget_exhausted = true;
+        outcome.blowup_message = e.what();
+        return outcome;
+      } catch (const std::runtime_error& e) {
+        // reduce() throws when no output label survives trimming: the
+        // problem admits no correct solution on any graph with an edge. Not
+        // after the pre-flight, since each singleton label of R(pi) and of
+        // Rbar(psi) keeps the node configurations, edge partners and inputs
+        // of the label it wraps; the catch is error handling.
+        outcome.detected_unsolvable = true;
+        outcome.blowup_message = e.what();
+        return outcome;
       }
-      stats.labels_next = level.next.problem.output_alphabet().size();
-      stats.node_configs = level.next.problem.total_node_configs();
-      stats.edge_configs = level.next.problem.edge_configs().size();
-      levels_.push_back(std::move(level));
-    } catch (const ReBlowupError& e) {
-      outcome.budget_exhausted = true;
-      outcome.blowup_message = e.what();
-      return outcome;
-    } catch (const std::runtime_error& e) {
-      // reduce() throws when no output label survives trimming: the
-      // problem admits no correct solution on any graph with an edge. After
-      // the pre-flight this does not happen, since each singleton label of
-      // R(pi) and of Rbar(psi) keeps the node configurations, edge partners
-      // and inputs of the label it wraps; the catch is error handling.
-      outcome.detected_unsolvable = true;
-      outcome.blowup_message = e.what();
-      return outcome;
+      LCL_OBS_COUNTER_ADD("re.steps", 1);
+      if (auto* run = obs::RunContext::current(); run != nullptr) {
+        run->bump("engine_steps");
+      }
+      LCL_OBS_HISTOGRAM_RECORD("re.labels_per_step", stats.labels_next);
+      LCL_OBS_HISTOGRAM_RECORD("re.node_configs_per_step", stats.node_configs);
+      LCL_OBS_GAUGE_SET("re.current_labels", stats.labels_next);
+      LCL_OBS_SPAN_ARG(step_span, "labels", stats.labels_next);
+      LCL_OBS_SPAN_ARG(step_span, "node_configs", stats.node_configs);
+      LCL_OBS_SPAN_ARG(step_span, "memo", computed ? 0 : 1);
     }
-    LCL_OBS_COUNTER_ADD("re.steps", 1);
-    if (auto* run = obs::RunContext::current(); run != nullptr) {
-      run->bump("engine_steps");
-    }
-    LCL_OBS_HISTOGRAM_RECORD("re.labels_per_step", stats.labels_next);
-    LCL_OBS_HISTOGRAM_RECORD("re.node_configs_per_step", stats.node_configs);
-    LCL_OBS_GAUGE_SET("re.current_labels", stats.labels_next);
-    LCL_OBS_SPAN_ARG(step_span, "labels", stats.labels_next);
-    LCL_OBS_SPAN_ARG(step_span, "node_configs", stats.node_configs);
-    LCL_OBS_SPAN_ARG(step_span, "memo", computed ? 0 : 1);
+    StepStats stats = held_[i].stats;
+    if (held_[i].served) memo_served_ = true;
 
-    const NodeEdgeCheckableLcl& latest = levels_.back().next.problem;
-    if (zero_round(latest, static_cast<int>(levels_.size()), options, memo)) {
+    const NodeEdgeCheckableLcl& latest = levels_[i].next.problem;
+    if (zero_round(latest, step + 1, options, memo)) {
       stats.zero_round_solvable = true;
-      outcome.zero_round_step = static_cast<int>(levels_.size());
+      outcome.zero_round_step = step + 1;
     }
     stats.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
@@ -255,8 +267,7 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
       // The signature can collide for genuinely different problems; only an
       // exact match (up to relabeling outputs) certifies the fixed point.
       const NodeEdgeCheckableLcl& prior =
-          levels_.size() >= 2 ? levels_[levels_.size() - 2].next.problem
-                              : effective_base();
+          i == 0 ? effective_base() : levels_[i - 1].next.problem;
       if (same_constraints(latest, prior) ||
           isomorphic_constraints(latest, prior)) {
         outcome.fixed_point = true;
@@ -282,17 +293,12 @@ std::unique_ptr<BallAlgorithm> SpeedupEngine::synthesize() const {
         "succeed first");
   }
   // The witness lives at level `witness_step_`; the synthesized algorithm
-  // lifts through exactly the first `witness_step_` levels.
-  if (witness_step_ != static_cast<int>(levels_.size())) {
-    // witness at the base problem: 0 levels to lift through.
-    if (witness_step_ != 0) {
-      throw std::logic_error("SpeedupEngine::synthesize: internal state");
-    }
-  }
-  static const std::vector<SequenceLevel> kNoLevels;
-  const auto& lifting_levels = witness_step_ == 0 ? kNoLevels : levels_;
+  // lifts through exactly the levels below it.
   return std::make_unique<SynthesizedAlgorithm>(
-      preflight_.problem, lifting_levels, *witness_, preflight_.new_to_old);
+      preflight_.problem,
+      std::span<const SequenceLevel>(levels_).first(
+          static_cast<std::size_t>(witness_step_)),
+      *witness_, preflight_.new_to_old);
 }
 
 }  // namespace lcl

@@ -43,7 +43,8 @@ SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
 /// changing any verdict. The chain classifiers read their pruned problem
 /// and L020 verdict from the same pre-flight. The iterates need no
 /// pre-flight of their own: with `reduce` on, reduction's trim has already
-/// run the same fixpoint on them.
+/// run the same fixpoint on them. A level does not depend on `degrees`, so
+/// the engine keeps its levels across runs under the same `limits`/`reduce`.
 class SpeedupEngine {
  public:
   struct Options {
@@ -121,12 +122,13 @@ class SpeedupEngine {
   /// budget, or an enumeration blow-up. With a `memo`, steps and 0-round
   /// verdicts it already holds are served from it instead of computed; the
   /// outcome is the same either way (up to `StepStats::seconds`). An L020
-  /// pre-flight verdict ends the run before the memo is consulted.
+  /// pre-flight verdict ends the run before the memo is consulted. A level an
+  /// earlier run took is not taken again; only its 0-round test reruns.
   Outcome run(const Options& options, Memo* memo = nullptr);
 
-  /// Problem `f^i(pi)`; valid for `0 <= i <= steps applied`. Index 0 is the
-  /// problem as given; when the pre-flight pruned it, the sequence for
-  /// `i >= 1` is derived from `effective_base()` instead.
+  /// Problem `f^i(pi)`; valid for `0 <= i <=` the levels held (at least the
+  /// last run's steps). Index 0 is the problem as given; when the pre-flight
+  /// pruned it, the sequence for `i >= 1` is derived from `effective_base()`.
   const NodeEdgeCheckableLcl& problem_at(std::size_t i) const;
   /// The problem the sequence starts from, valid from construction on: the
   /// pre-flight's pruned base, which is the base problem itself when no
@@ -136,15 +138,13 @@ class SpeedupEngine {
   }
   /// The constructor's pre-flight, `preflight_trim` of the base problem.
   const TrimmedProblem& preflight() const noexcept { return preflight_; }
-  std::size_t steps_applied() const noexcept { return levels_.size(); }
 
   /// After `run` found `zero_round_step == k`: the synthesized k-round
-  /// LOCAL algorithm for the base problem (Theorem 3.10's conclusion). Its
-  /// radius is the constant k, independent of n. Throws `std::logic_error`
-  /// if no 0-round witness was found, or if the run was served anything by
-  /// a memo (served steps keep their iterates but no lifting data). The
-  /// returned algorithm references this engine's state; the engine must
-  /// outlive it.
+  /// LOCAL algorithm for the base problem (Theorem 3.10's conclusion),
+  /// lifted through the first k levels; its radius is k, independent of n.
+  /// Throws `std::logic_error` if no 0-round witness was found, or if the run
+  /// walked a step or took a verdict a memo served (no lifting data). It
+  /// references the engine, which must outlive it and not run while it lives.
   std::unique_ptr<BallAlgorithm> synthesize() const;
 
  private:
@@ -157,10 +157,16 @@ class SpeedupEngine {
   /// The levels map `preflight_.problem` -> pi_1 -> ...; synthesized outputs
   /// are translated back to `base_` labels via `preflight_.new_to_old`.
   TrimmedProblem preflight_;
-  std::vector<SequenceLevel> levels_;  // level i maps pi_i -> pi_{i+1}
+  /// Held levels (level i maps pi_i -> pi_{i+1}), taken under `limits_` and
+  /// `reduce_`, each with its stats and whether a memo served it.
+  struct Held { StepStats stats; bool served = false; };
+  std::vector<SequenceLevel> levels_;
+  std::vector<Held> held_;
+  ReLimits limits_;
+  bool reduce_ = true;
   std::optional<ZeroRoundAlgorithm> witness_;
   int witness_step_ = -1;
-  bool memo_served_ = false;  // the last run took a step or verdict from a memo
+  bool memo_served_ = false;  // the last run used a memo-served step or verdict
 };
 
 }  // namespace lcl

@@ -63,6 +63,7 @@ struct ReLimits {
   /// thread; parallelism lives one level up, across survey members and
   /// service requests.
   ReKernel kernel = ReKernel::kMask;
+  bool operator==(const ReLimits&) const = default;
 };
 
 }  // namespace lcl

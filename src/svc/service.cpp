@@ -499,9 +499,9 @@ HttpResponse Service::synthesize(const HttpRequest& request) {
                const SpeedupEngine::Outcome outcome = engine.run(engine_options);
                int radius = -1;
                if (outcome.zero_round_step >= 0) {
-                 // Materialize the algorithm: synthesize() validates the
-                 // whole lift chain, so "radius" is a real certificate,
-                 // not just the step index echoed back.
+                 // Materialize the algorithm: "radius" is that of the
+                 // algorithm synthesize() builds, which refuses a run it
+                 // cannot lift (a memo-served step has no lifting data).
                  radius = engine.synthesize()->radius(0);
                }
                return std::make_pair(outcome, radius);

@@ -86,7 +86,7 @@ TEST(ConstraintSignature, NameInsensitiveContentSensitive) {
 NodeEdgeCheckableLcl signature_probe(std::size_t labels) {
   std::vector<std::string> names;
   for (std::size_t l = 0; l < labels; ++l) {
-    names.push_back("s" + std::to_string(l));
+    names.push_back(std::to_string(l).insert(0, 1, 's'));
   }
   NodeEdgeCheckableLcl::Builder b("probe", Alphabet({"p", "q"}),
                                   Alphabet(names), /*max_degree=*/1);

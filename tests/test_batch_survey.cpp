@@ -120,47 +120,58 @@ TEST(Survey, AgreesWithTheUncachedSpeedupEngine) {
   }
   ASSERT_EQ(family.members.size(), 6u);
 
-  auto options = default_options();
-  std::map<std::string, std::pair<SpeedupEngine::Outcome, std::size_t>>
-      expected;
-  for (const auto& member : family.members) {
-    SpeedupEngine engine(member.problem);
-    auto outcome = engine.run(options.engine);
-    expected.emplace(member.name, std::make_pair(std::move(outcome),
-                                                 engine.steps_applied()));
-  }
+  // The classifiers run the member's engine first, two steps deep under
+  // the default limits. The default certificate walks those levels and
+  // takes a third; a one-step certificate stops inside them; one under
+  // other limits starts over.
+  std::vector<SpeedupEngine::Options> engines(3, default_options().engine);
+  engines[1].max_steps = 1;
+  engines[2].limits.max_labels = 7;
+  for (const auto& engine_options : engines) {
+    auto options = default_options();
+    options.engine = engine_options;
+    std::map<std::string, SpeedupEngine::Outcome> expected;
+    for (const auto& member : family.members) {
+      SpeedupEngine engine(member.problem);
+      expected.emplace(member.name, engine.run(options.engine));
+    }
 
-  for (const std::string key_mode : {"none", "raw", "canonical"}) {
-    for (const std::size_t jobs : {1u, 4u}) {
-      SCOPED_TRACE(key_mode + " cache, jobs=" + std::to_string(jobs));
-      std::optional<Cache> cache;
-      if (key_mode != "none") {
-        Cache::Options cache_options;
-        cache_options.canonical_tier = key_mode == "canonical";
-        cache.emplace(std::move(cache_options));
-      }
-      options.cache = cache ? &*cache : nullptr;
-      options.jobs = jobs;
-      const auto report = batch::run_survey(family, options);
-      ASSERT_EQ(report.outcomes.size(), family.members.size());
-      for (const auto& outcome : report.outcomes) {
-        EXPECT_TRUE(outcome.error.empty())
-            << outcome.name << ": " << outcome.error;
-        const auto it = expected.find(outcome.name);
-        ASSERT_NE(it, expected.end()) << outcome.name;
-        const auto& [want, steps_applied] = it->second;
-        EXPECT_EQ(outcome.zero_round_step, want.zero_round_step)
-            << outcome.name;
-        EXPECT_EQ(outcome.steps_applied, static_cast<int>(steps_applied))
-            << outcome.name;
-        EXPECT_EQ(outcome.fixed_point, want.fixed_point) << outcome.name;
-        EXPECT_EQ(outcome.budget_exhausted, want.budget_exhausted)
-            << outcome.name;
-        EXPECT_EQ(outcome.detected_unsolvable, want.detected_unsolvable)
-            << outcome.name;
-        EXPECT_EQ(outcome.preflight_dead_labels, want.preflight_dead_labels)
-            << outcome.name;
-        EXPECT_EQ(outcome.note, want.blowup_message) << outcome.name;
+    for (const std::string key_mode : {"none", "raw", "canonical"}) {
+      for (const std::size_t jobs : {1u, 4u}) {
+        SCOPED_TRACE(key_mode + " cache, jobs=" + std::to_string(jobs) +
+                     ", max_steps=" + std::to_string(engine_options.max_steps) +
+                     ", max_labels=" +
+                     std::to_string(engine_options.limits.max_labels));
+        std::optional<Cache> cache;
+        if (key_mode != "none") {
+          Cache::Options cache_options;
+          cache_options.canonical_tier = key_mode == "canonical";
+          cache.emplace(std::move(cache_options));
+        }
+        options.cache = cache ? &*cache : nullptr;
+        options.jobs = jobs;
+        const auto report = batch::run_survey(family, options);
+        ASSERT_EQ(report.outcomes.size(), family.members.size());
+        for (const auto& outcome : report.outcomes) {
+          EXPECT_TRUE(outcome.error.empty())
+              << outcome.name << ": " << outcome.error;
+          const auto it = expected.find(outcome.name);
+          ASSERT_NE(it, expected.end()) << outcome.name;
+          const auto& want = it->second;
+          EXPECT_EQ(outcome.zero_round_step, want.zero_round_step)
+              << outcome.name;
+          EXPECT_EQ(outcome.steps_applied,
+                    static_cast<int>(want.steps.size()))
+              << outcome.name;
+          EXPECT_EQ(outcome.fixed_point, want.fixed_point) << outcome.name;
+          EXPECT_EQ(outcome.budget_exhausted, want.budget_exhausted)
+              << outcome.name;
+          EXPECT_EQ(outcome.detected_unsolvable, want.detected_unsolvable)
+              << outcome.name;
+          EXPECT_EQ(outcome.preflight_dead_labels, want.preflight_dead_labels)
+              << outcome.name;
+          EXPECT_EQ(outcome.note, want.blowup_message) << outcome.name;
+        }
       }
     }
   }
@@ -419,7 +430,7 @@ NodeEdgeCheckableLcl with_other_label_names(
     const NodeEdgeCheckableLcl& problem) {
   auto spec = lint::spec_from_problem(problem);
   for (std::size_t l = 0; l < spec.outputs.size(); ++l) {
-    spec.outputs[l] = "q" + std::to_string(l);
+    spec.outputs[l] = std::to_string(l).insert(0, 1, 'q');
   }
   return lint::build_spec(spec);
 }
@@ -443,7 +454,7 @@ TEST(SurveyStepTier, ServedIterateLabelNamesReachNoRowColumn) {
   for (const auto& member : family.members) {
     SpeedupEngine engine(member.problem);
     const auto outcome = engine.run(options.engine);
-    for (std::size_t i = 0; i < engine.steps_applied(); ++i) {
+    for (std::size_t i = 0; i < outcome.steps.size(); ++i) {
       const NodeEdgeCheckableLcl& current =
           i == 0 ? engine.effective_base() : engine.problem_at(i);
       obs::json::Value value = obs::json::Value::make_object();
@@ -566,11 +577,12 @@ TEST(Survey, MatchesTheCommittedGoldenReport) {
 // ---------------------------------------------------------------------------
 // One pre-flight per engine: `SpeedupEngine`'s constructor trims the base
 // problem once, and the chain classifiers take their pruned problem and L020
-// verdict from their own engine's pre-flight. The tests count `re/preflight`
-// spans; they live here because this binary links every layer involved.
+// verdict from the pre-flight of the engine they run. The tests count
+// `re/preflight` and `re/step` spans; they live here because this binary
+// links every layer involved.
 
-/// The number of `re/preflight` spans `body` records in a JSONL trace.
-std::size_t preflight_spans(const std::function<void()>& body) {
+/// The number of spans named `name` that `body` records in a JSONL trace.
+std::size_t spans(const std::string& name, const std::function<void()>& body) {
   // One file per test: ctest runs the tests of this binary in parallel.
   const std::string path =
       testing::TempDir() + "lcl_preflight_spans_" +
@@ -586,20 +598,20 @@ std::size_t preflight_spans(const std::function<void()>& body) {
   obs::ParsedTrace trace;
   std::string error;
   EXPECT_TRUE(obs::parse_trace(read_file(path), &trace, &error)) << error;
-  std::size_t spans = 0;
+  std::size_t count = 0;
   for (const auto& r : trace.records) {
-    if (r.kind == obs::TraceRecord::Kind::kSpan && r.name == "re/preflight") {
-      ++spans;
+    if (r.kind == obs::TraceRecord::Kind::kSpan && r.name == name) {
+      ++count;
     }
   }
-  return spans;
+  return count;
 }
 
 TEST(OnePreflightPerEngine, AnEngineRunTwiceTrimsItsBaseOnce) {
   if (!obs::telemetry_compiled_in()) {
     GTEST_SKIP() << "built with LCL_OBS=0";
   }
-  EXPECT_EQ(preflight_spans([]() {
+  EXPECT_EQ(spans("re/preflight", []() {
               SpeedupEngine engine(problems::two_coloring(2));
               SpeedupEngine::Options options;
               options.max_steps = 2;
@@ -616,7 +628,7 @@ TEST(OnePreflightPerEngine, CycleClassifierRunsTheEngineItTrimmedWith) {
   // 3-coloring is Theta(log* n): the automaton is flexible, so the
   // classifier reaches its engine run.
   CycleClassification verdict;
-  EXPECT_EQ(preflight_spans([&]() {
+  EXPECT_EQ(spans("re/preflight", [&]() {
               verdict = classify_on_cycles(problems::coloring(3, 2));
             }),
             1u);
@@ -628,27 +640,31 @@ TEST(OnePreflightPerEngine, PathClassifierRunsTheEngineItTrimmedWith) {
     GTEST_SKIP() << "built with LCL_OBS=0";
   }
   PathClassification verdict;
-  EXPECT_EQ(preflight_spans([&]() {
+  EXPECT_EQ(spans("re/preflight", [&]() {
               verdict = classify_on_paths(problems::coloring(3, 2));
             }),
             1u);
   EXPECT_EQ(verdict.complexity, CycleComplexity::kLogStar);
 }
 
-TEST(OnePreflightPerEngine, ASurveyMemberTrimsOncePerEngine) {
+TEST(OnePreflightPerEngine, ASurveyMemberBuildsOneEngine) {
   if (!obs::telemetry_compiled_in()) {
     GTEST_SKIP() << "built with LCL_OBS=0";
   }
   const Family family = members_named({"d2l2-n2-e2"});
   ASSERT_EQ(family.members.size(), 1u);
   batch::SurveyReport report;
-  // One engine per classifier, one for the `engine:` certificate.
-  EXPECT_EQ(preflight_spans([&]() {
-              report = batch::run_survey(family, default_options());
-            }),
-            3u);
+  const auto survey = [&]() {
+    report = batch::run_survey(family, default_options());
+  };
+  // The classifiers and the `engine:` certificate run one engine: it trims
+  // the member once, and the certificate's third step is the only one the
+  // classifiers' two did not take.
+  EXPECT_EQ(spans("re/preflight", survey), 1u);
+  EXPECT_EQ(spans("re/step", survey), 3u);
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_EQ(report.outcomes[0].cycle_class, "Theta(log* n)");
+  EXPECT_EQ(report.outcomes[0].steps_applied, 3);
 }
 
 }  // namespace

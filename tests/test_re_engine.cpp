@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch/survey.hpp"
 #include "core/brute_force.hpp"
 #include "core/checker.hpp"
 #include "core/problems.hpp"
@@ -203,12 +204,11 @@ TEST(Engine, ProblemAtTracksSequence) {
   SpeedupEngine::Options options;
   options.max_steps = 2;
   const auto outcome = engine.run(options);
-  (void)outcome;
   EXPECT_EQ(&engine.problem_at(0), &engine.problem_at(0));
-  if (engine.steps_applied() >= 1) {
+  if (!outcome.steps.empty()) {
     EXPECT_NE(engine.problem_at(1).name().find("Rbar"), std::string::npos);
   }
-  EXPECT_THROW(engine.problem_at(engine.steps_applied() + 1),
+  EXPECT_THROW(engine.problem_at(outcome.steps.size() + 1),
                std::out_of_range);
 }
 
@@ -326,14 +326,141 @@ TEST(EngineMemo, RunServedFromTheMemoMatchesTheMemoLessRun) {
       EXPECT_GT(memo.served, served_before);
     }
     EXPECT_EQ(memo.computed, computed_before);
-    ASSERT_EQ(served.steps_applied(), plain.steps_applied());
-    for (std::size_t i = 0; i <= plain.steps_applied(); ++i) {
+    for (std::size_t i = 0; i <= want.steps.size(); ++i) {
       EXPECT_EQ(served.problem_at(i).name(), plain.problem_at(i).name());
       EXPECT_TRUE(same_constraints(served.problem_at(i), plain.problem_at(i)));
     }
     // Served steps keep no lifting data.
     EXPECT_THROW(served.synthesize(), std::logic_error);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Held levels: an engine keeps the levels it computed across runs.
+
+/// Runs `engine` under `options` and expects what a fresh engine over
+/// `problem` gives: the outcome (but for timings) and every iterate the run
+/// reached, names included.
+void expect_fresh_run(SpeedupEngine& engine,
+                      const NodeEdgeCheckableLcl& problem,
+                      const SpeedupEngine::Options& options) {
+  SpeedupEngine fresh(problem);
+  const auto want = fresh.run(options);
+  const auto got = engine.run(options);
+  expect_same_outcome(got, want);
+  for (std::size_t i = 0; i <= want.steps.size(); ++i) {
+    EXPECT_EQ(engine.problem_at(i).name(), fresh.problem_at(i).name());
+    EXPECT_TRUE(same_constraints(engine.problem_at(i), fresh.problem_at(i)));
+  }
+}
+
+TEST(EngineHeldLevels, ReRunsMatchFreshEngines) {
+  // The survey's three runs of one engine: the cycle classifier's, the path
+  // classifier's and the forest certificate's, in that order and reversed.
+  std::vector<SpeedupEngine::Options> runs(3);
+  runs[0].max_steps = 2;
+  runs[0].degrees = {2};
+  runs[1].max_steps = 2;
+  runs[1].degrees = {1, 2};
+  runs[2].max_steps = 3;
+  std::size_t members = 0;
+  for (const int delta : {2, 3}) {
+    batch::ExhaustiveFamilyOptions family;
+    family.max_degree = delta;
+    for (const auto& member : batch::exhaustive_family(family).members) {
+      ++members;
+      for (const bool reversed : {false, true}) {
+        SCOPED_TRACE(member.name + (reversed ? ", reversed" : ""));
+        SpeedupEngine engine(member.problem);
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+          expect_fresh_run(engine, member.problem,
+                           runs[reversed ? runs.size() - 1 - k : k]);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(members, 49u + 105u);
+}
+
+TEST(EngineHeldLevels, ARunUnderOtherLimitsStartsOver) {
+  SpeedupEngine::Options generous;
+  generous.max_steps = 3;
+  SpeedupEngine::Options tight = generous;
+  tight.limits.max_labels = 7;
+  SpeedupEngine::Options faithful = generous;
+  faithful.reduce = false;
+  for (const auto& problem :
+       {problems::any_orientation(2), problems::coloring(3, 2),
+        problems::sinkless_orientation(3), problems::maximal_matching(3)}) {
+    SCOPED_TRACE(problem.name());
+    SpeedupEngine engine(problem);
+    for (const auto* options : {&generous, &tight, &generous, &faithful,
+                                &tight}) {
+      expect_fresh_run(engine, problem, *options);
+    }
+  }
+}
+
+/// The exhaustive Delta=3 l=2 member `name`.
+NodeEdgeCheckableLcl d3l2_member(const std::string& name) {
+  batch::ExhaustiveFamilyOptions family;
+  family.max_degree = 3;
+  for (auto& member : batch::exhaustive_family(family).members) {
+    if (member.name == name) return std::move(member.problem);
+  }
+  throw std::invalid_argument("no Delta=3 l=2 member " + name);
+}
+
+TEST(EngineHeldLevels, SynthesizesFromAWitnessBelowTheHeldLevels) {
+  // Every edge joins an a and a b, and degree-3 nodes must read (a, a, b):
+  // on forests no step within three is 0-round solvable, while on degree 2,
+  // where any orientation is allowed, f(pi) is.
+  const auto problem = d3l2_member("d3l2-n2-e2");
+  SpeedupEngine engine(problem);
+  SpeedupEngine::Options forest;
+  forest.max_steps = 3;
+  const auto deep = engine.run(forest);
+  ASSERT_EQ(deep.zero_round_step, -1);
+  ASSERT_EQ(deep.steps.size(), 3u);
+
+  SpeedupEngine::Options cycles;
+  cycles.max_steps = 3;
+  cycles.degrees = {2};
+  ASSERT_EQ(engine.run(cycles).zero_round_step, 1);
+  const auto algorithm = engine.synthesize();
+  EXPECT_EQ(algorithm->radius(1u << 20), 1);
+
+  SplitRng rng(3);
+  for (std::size_t n : {3u, 8u, 21u}) {
+    Graph g = make_cycle(n);
+    const auto input = uniform_labeling(g, 0);
+    const auto ids = random_distinct_ids(g, 3, rng);
+    const auto output = run_ball_algorithm(*algorithm, g, input, ids);
+    const auto check = check_solution(problem, g, input, output);
+    EXPECT_TRUE(check.ok()) << "n=" << n << "\n" << check.to_string();
+  }
+}
+
+TEST(EngineHeldLevels, AHeldLevelAMemoServedBlocksSynthesis) {
+  // any_orientation(2) becomes 0-round solvable at step 1.
+  const auto problem = problems::any_orientation(2);
+  SpeedupEngine::Options options;
+  options.max_steps = 2;
+  FakeMemo memo;
+  SpeedupEngine filler(problem);
+  ASSERT_EQ(filler.run(options, &memo).zero_round_step, 1);
+
+  SpeedupEngine engine(problem);
+  ASSERT_EQ(engine.run(options, &memo).zero_round_step, 1);
+  ASSERT_GT(memo.served, 0);
+  // No memo now, but level 0 is the one the memo served.
+  ASSERT_EQ(engine.run(options).zero_round_step, 1);
+  EXPECT_THROW(engine.synthesize(), std::logic_error);
+
+  // An engine that never saw the memo synthesizes.
+  SpeedupEngine plain(problem);
+  ASSERT_EQ(plain.run(options).zero_round_step, 1);
+  EXPECT_NO_THROW(plain.synthesize());
 }
 
 }  // namespace
