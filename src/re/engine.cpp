@@ -156,6 +156,7 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
   if (options.limits != limits_ || options.reduce != reduce_) {
     levels_.clear();
     held_.clear();
+    failed_.reset();
     limits_ = options.limits;
     reduce_ = options.reduce;
   }
@@ -187,7 +188,7 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
   for (int step = 0; step < options.max_steps; ++step) {
     const auto start = std::chrono::steady_clock::now();
     const auto i = static_cast<std::size_t>(step);
-    if (i == levels_.size()) {
+    if (i == levels_.size() && !failed_) {
       LCL_OBS_SPAN(step_span, "re/step", "re");
       LCL_OBS_SPAN_ARG(step_span, "index", step);
       StepStats stats;
@@ -224,29 +225,35 @@ SpeedupEngine::Outcome SpeedupEngine::run(const Options& options,
         levels_.push_back(std::move(level));
         held_.push_back(Held{stats, !computed});
       } catch (const ReBlowupError& e) {
-        outcome.budget_exhausted = true;
-        outcome.blowup_message = e.what();
-        return outcome;
+        failed_ = Failure{false, e.what()};
       } catch (const std::runtime_error& e) {
         // reduce() throws when no output label survives trimming: the
         // problem admits no correct solution on any graph with an edge. Not
         // after the pre-flight, since each singleton label of R(pi) and of
         // Rbar(psi) keeps the node configurations, edge partners and inputs
         // of the label it wraps; the catch is error handling.
-        outcome.detected_unsolvable = true;
-        outcome.blowup_message = e.what();
-        return outcome;
+        failed_ = Failure{true, e.what()};
       }
-      LCL_OBS_COUNTER_ADD("re.steps", 1);
-      if (auto* run = obs::RunContext::current(); run != nullptr) {
-        run->bump("engine_steps");
+      if (!failed_) {
+        LCL_OBS_COUNTER_ADD("re.steps", 1);
+        if (auto* run = obs::RunContext::current(); run != nullptr) {
+          run->bump("engine_steps");
+        }
+        LCL_OBS_HISTOGRAM_RECORD("re.labels_per_step", stats.labels_next);
+        LCL_OBS_HISTOGRAM_RECORD("re.node_configs_per_step",
+                                 stats.node_configs);
+        LCL_OBS_GAUGE_SET("re.current_labels", stats.labels_next);
+        LCL_OBS_SPAN_ARG(step_span, "labels", stats.labels_next);
+        LCL_OBS_SPAN_ARG(step_span, "node_configs", stats.node_configs);
+        LCL_OBS_SPAN_ARG(step_span, "memo", computed ? 0 : 1);
       }
-      LCL_OBS_HISTOGRAM_RECORD("re.labels_per_step", stats.labels_next);
-      LCL_OBS_HISTOGRAM_RECORD("re.node_configs_per_step", stats.node_configs);
-      LCL_OBS_GAUGE_SET("re.current_labels", stats.labels_next);
-      LCL_OBS_SPAN_ARG(step_span, "labels", stats.labels_next);
-      LCL_OBS_SPAN_ARG(step_span, "node_configs", stats.node_configs);
-      LCL_OBS_SPAN_ARG(step_span, "memo", computed ? 0 : 1);
+    }
+    if (i == levels_.size()) {
+      // The step failed, in this run or in an earlier one.
+      (failed_->unsolvable ? outcome.detected_unsolvable
+                           : outcome.budget_exhausted) = true;
+      outcome.blowup_message = failed_->message;
+      return outcome;
     }
     StepStats stats = held_[i].stats;
     if (held_[i].served) memo_served_ = true;

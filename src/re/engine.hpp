@@ -44,7 +44,8 @@ SequenceLevel speedup_step(const NodeEdgeCheckableLcl& pi,
 /// and L020 verdict from the same pre-flight. The iterates need no
 /// pre-flight of their own: with `reduce` on, reduction's trim has already
 /// run the same fixpoint on them. A level does not depend on `degrees`, so
-/// the engine keeps its levels across runs under the same `limits`/`reduce`.
+/// the engine keeps its levels, and the failure of the step past them,
+/// across runs under the same `limits`/`reduce`.
 class SpeedupEngine {
  public:
   struct Options {
@@ -123,7 +124,9 @@ class SpeedupEngine {
   /// verdicts it already holds are served from it instead of computed; the
   /// outcome is the same either way (up to `StepStats::seconds`). An L020
   /// pre-flight verdict ends the run before the memo is consulted. A level an
-  /// earlier run took is not taken again; only its 0-round test reruns.
+  /// earlier run took is not taken again; only its 0-round test reruns. A
+  /// step that failed in an earlier run is not retried: the run ends with
+  /// its flag and message.
   Outcome run(const Options& options, Memo* memo = nullptr);
 
   /// Problem `f^i(pi)`; valid for `0 <= i <=` the levels held (at least the
@@ -162,6 +165,12 @@ class SpeedupEngine {
   struct Held { StepStats stats; bool served = false; };
   std::vector<SequenceLevel> levels_;
   std::vector<Held> held_;
+  /// The step past the held levels, when it failed under `limits_` and
+  /// `reduce_`: a run that reaches it replays the failure. `unsolvable`
+  /// names the outcome flag it set (`detected_unsolvable`, else
+  /// `budget_exhausted`).
+  struct Failure { bool unsolvable = false; std::string message; };
+  std::optional<Failure> failed_;
   ReLimits limits_;
   bool reduce_ = true;
   std::optional<ZeroRoundAlgorithm> witness_;

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -59,89 +58,58 @@ bool all_selections_in_node_constraint(const NodeEdgeCheckableLcl& pi,
   return !found_bad;
 }
 
-/// One step of the config-into-slots matching: can occurrences
-/// `labels[pos..degree)` be assigned to distinct unused slots whose words
-/// contain them? `used[slot]` marks the slots taken so far; every call
-/// leaves it as it found it. Since configurations are sorted, equal labels
-/// are adjacent; forcing equal occurrences into increasing slots
-/// (`min_slot`) collapses the permutations of identical labels to one
-/// canonical assignment.
-bool config_fits_slots(const Label* labels, std::size_t degree,
-                       const std::uint64_t* slots, char* used, std::size_t pos,
-                       std::size_t min_slot) {
-  if (pos == degree) return true;
-  const Label l = labels[pos];
-  const std::size_t start =
-      pos > 0 && labels[pos - 1] == l ? min_slot + 1 : 0;
-  for (std::size_t slot = start; slot < degree; ++slot) {
-    if (used[slot] == 0 && ((slots[slot] >> l) & 1) != 0) {
-      used[slot] = 1;
-      const bool fits =
-          config_fits_slots(labels, degree, slots, used, pos + 1, slot);
-      used[slot] = 0;
-      if (fits) return true;
-    }
-  }
-  return false;
-}
-
-/// Mask variant of the EXISTS quantifier: a selection exists iff some
-/// stored configuration (flattened, `degree` labels per row) matches into
-/// the slot words. `used` is `degree` zeroed scratch slots.
-bool exists_selection_mask(const std::vector<Label>& flat_configs,
-                           const std::uint64_t* slots, std::size_t degree,
-                           char* used) {
-  for (std::size_t at = 0; at < flat_configs.size(); at += degree) {
-    if (config_fits_slots(flat_configs.data() + at, degree, slots, used, 0,
-                          0)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Mask variant of the FORALL quantifier: walks the cartesian product of
-/// the slot words' set bits, canonicalizes each selection by insertion sort
-/// into `sorted` (degrees are tiny), and looks it up in `allowed`, the base
-/// problem's configurations of this degree; aborts on the first disallowed
-/// selection.
-bool all_selections_mask(const DegreeConfigs& allowed,
-                         const std::uint64_t* slots, std::size_t degree,
-                         Label* selection, Label* sorted) {
-  const auto walk = [&](auto&& self, std::size_t slot) -> bool {
-    if (slot == degree) {
-      for (std::size_t i = 0; i < degree; ++i) {
-        const Label l = selection[i];
-        std::size_t j = i;
-        while (j > 0 && sorted[j - 1] > l) {
-          sorted[j] = sorted[j - 1];
-          --j;
-        }
-        sorted[j] = l;
-      }
-      return allowed.contains(sorted);
-    }
-    for (std::uint64_t word = slots[slot]; word != 0; word &= word - 1) {
-      selection[slot] = static_cast<Label>(std::countr_zero(word));
-      if (!self(self, slot + 1)) return false;
-    }
-    return true;
-  };
-  return walk(walk, 0);
-}
-
 /// Advances `idx` to the lexicographically next non-decreasing tuple over
-/// `{0, .., limit-1}`; returns false after the last one. From the all-zero
-/// tuple this is the order of `enumerate_multisets` without materializing
-/// it.
-bool next_multiset(std::vector<Label>& idx, Label limit) {
+/// `{0, .., limit-1}` and returns the first slot it changed, or `idx.size()`
+/// after the last tuple. From the all-zero tuple this is the order of
+/// `enumerate_multisets` without materializing it.
+std::size_t next_multiset(std::vector<Label>& idx, Label limit) {
   std::size_t pos = idx.size();
   while (pos > 0 && idx[pos - 1] == limit - 1) --pos;
-  if (pos == 0) return false;
+  if (pos == 0) return idx.size();
   const Label next = idx[pos - 1] + 1;
   for (std::size_t i = pos - 1; i < idx.size(); ++i) idx[i] = next;
-  return true;
+  return pos - 1;
 }
+
+/// Ranks of the non-decreasing `degree`-tuples over `{0, .., labels-1}` in
+/// `next_multiset` order. In the combinatorial number system a tuple's rank
+/// is a constant minus one weight per slot, `weight(j, v) =
+/// C(labels-1-v + degree-1-j, degree-j)`, so lowering one slot moves the
+/// rank by the weights of the slots it passes.
+class MultisetRanks {
+ public:
+  MultisetRanks(std::size_t labels, std::size_t degree)
+      : labels_(labels), weights_(labels * degree) {
+    // Pascal's rule: weight(j, v) = weight(j, v + 1) + weight(j + 1, v).
+    for (std::size_t j = degree; j-- > 0;) {
+      for (std::size_t v = labels; v-- > 0;) {
+        weights_[j * labels_ + v] =
+            j + 1 == degree ? labels - 1 - v
+                            : (v + 1 < labels ? weight(j, v + 1) : 0) +
+                                  weight(j + 1, v);
+      }
+    }
+  }
+
+  /// The rank of `tuple` with slot `t` lowered to `x < tuple[t]` and
+  /// re-sorted, minus the rank of `tuple`, modulo 2^64: the slots before `t`
+  /// holding more than `x` move one slot right. It reads `tuple[0..t]` only.
+  std::uint64_t lowering(const Label* tuple, std::size_t t, Label x) const {
+    std::uint64_t delta = weight(t, tuple[t]);
+    for (; t > 0 && tuple[t - 1] > x; --t) {
+      delta += weight(t - 1, tuple[t - 1]) - weight(t, tuple[t - 1]);
+    }
+    return delta - weight(t, x);
+  }
+
+ private:
+  std::uint64_t weight(std::size_t j, std::size_t v) const {
+    return weights_[j * labels_ + v];
+  }
+
+  std::size_t labels_;
+  std::vector<std::uint64_t> weights_;
+};
 
 }  // namespace
 
@@ -201,41 +169,59 @@ void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
   }
 
   // Node constraint per degree: walk the non-decreasing index tuples in
-  // enumerate_multisets order (without materializing them) and evaluate the
-  // quantifier on the slot words. Derived label i IS the mask i + 1.
+  // enumerate_multisets order (without materializing them). Derived label i
+  // IS the mask i + 1. A tuple of singleton slots has one selection, looked
+  // up in the base problem's configurations. Any other tuple splits the
+  // lowest bit b off its first slot of two or more bits: its selections are
+  // those with that slot minus b and those with that slot = {b}, so Rbar's
+  // FORALL ANDs the two verdicts and R's EXISTS ORs them. Both tuples, once
+  // sorted, come earlier in this order, so `verdict` (one byte per
+  // candidate, by rank) already holds them.
   for (int d = 1; d <= pi.max_degree(); ++d) {
     const auto degree = static_cast<std::size_t>(d);
-    // R's EXISTS matching scans the stored configurations, copied once into
-    // one flat row-per-config array; Rbar's FORALL probe looks selections
-    // up in them packed.
-    std::vector<Label> flat_configs;
-    std::optional<DegreeConfigs> allowed;
-    if (exists_node) {
-      const auto& stored = pi.node_configs(d);
-      flat_configs.reserve(stored.size() * degree);
-      for (const auto& config : stored) {
-        flat_configs.insert(flat_configs.end(), config.labels().begin(),
-                            config.labels().end());
-      }
-    } else {
-      allowed.emplace(pi, degree);
-    }
+    const DegreeConfigs allowed(pi, degree);
+    const MultisetRanks ranks(label_count, degree);
+    std::vector<std::uint8_t> verdict(count_multisets(label_count, degree));
     std::vector<Label> idx(degree, 0);
-    std::vector<std::uint64_t> slots(degree);
-    std::vector<char> used(degree, 0);
     std::vector<Label> selection(degree);
-    std::vector<Label> sorted(degree);
+    std::uint64_t rank = 0;
+    // The first slot of two or more bits (`degree`: none) and the rank
+    // offsets of the two smaller tuples. They read the slots up to `t` only,
+    // so they hold until a step changes one of those.
+    std::size_t t = degree;
+    std::uint64_t minus = 0;
+    std::uint64_t single = 0;
+    std::size_t changed = 0;
     do {
-      for (std::size_t t = 0; t < degree; ++t) {
-        slots[t] = std::uint64_t{idx[t]} + 1;
+      if (changed <= t) {
+        t = 0;
+        while (t < degree && std::has_single_bit(std::uint64_t{idx[t]} + 1)) {
+          ++t;
+        }
+        if (t < degree) {
+          const std::uint64_t slot = std::uint64_t{idx[t]} + 1;
+          const std::uint64_t low = slot & (~slot + 1);
+          minus = ranks.lowering(idx.data(), t,
+                                 static_cast<Label>((slot ^ low) - 1));
+          single = ranks.lowering(idx.data(), t, static_cast<Label>(low - 1));
+        }
       }
-      if (exists_node ? exists_selection_mask(flat_configs, slots.data(),
-                                              degree, used.data())
-                      : all_selections_mask(*allowed, slots.data(), degree,
-                                            selection.data(), sorted.data())) {
-        ws.add_node(degree, idx.data());
+      bool ok;
+      if (t == degree) {
+        for (std::size_t i = 0; i < degree; ++i) {
+          selection[i] =
+              static_cast<Label>(std::countr_zero(std::uint64_t{idx[i]} + 1));
+        }
+        ok = allowed.contains(selection.data());
+      } else {
+        // A true verdict settles EXISTS, a false one FORALL.
+        ok = verdict[rank + minus] != 0;
+        if (ok != exists_node) ok = verdict[rank + single] != 0;
       }
-    } while (next_multiset(idx, static_cast<Label>(label_count)));
+      verdict[rank++] = ok ? 1 : 0;
+      if (ok) ws.add_node(degree, idx.data());
+      changed = next_multiset(idx, static_cast<Label>(label_count));
+    } while (changed < degree);
   }
 
   // g: the derived labels compatible with input l are exactly the

@@ -24,15 +24,20 @@ namespace re_kernel {
 /// `a <= b` by row, node multisets in `enumerate_multisets` order, each `g`
 /// row ascending), so `WorkingSet::finish` sorts none of them.
 ///
-/// The generic path walks `LabelSet` containers; the mask path computes
-/// per-label FORALL/EXISTS partner words by a subset DP, enumerates
-/// `g`-compatible labels by upward subset walks, and answers `Rbar`'s
-/// node-quantifier queries by looking each sorted selection up in the
-/// base problem's configurations, packed as a `DegreeConfigs`. Both append
-/// the same lists (the parity battery fences this). The mask path requires
-/// the base output alphabet of `pi` to satisfy `base < 63` - the derived
-/// label masks must fit one word - and throws `std::invalid_argument`
-/// otherwise.
+/// The generic path walks `LabelSet` containers and each candidate's whole
+/// selection product. The mask path computes per-label FORALL/EXISTS
+/// partner words by a subset DP, enumerates `g`-compatible labels by upward
+/// subset walks, and decides both operators' node quantifiers by one subset
+/// DP over the candidates of a degree: a candidate splits the lowest bit
+/// off its first slot of two or more labels, and its verdict is the AND
+/// (`Rbar`'s FORALL) or OR (`R`'s EXISTS) of two earlier candidates'
+/// verdicts, kept one byte per candidate by rank and freed after the
+/// degree. Only candidates of singleton slots look their one selection up
+/// in the base problem's configurations, packed as a `DegreeConfigs`. Both
+/// paths append the same lists (the parity battery fences this). The mask
+/// path requires the base output alphabet of `pi` to satisfy `base < 63` -
+/// the derived label masks must fit one word - and throws
+/// `std::invalid_argument` otherwise.
 void fill_generic(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,
                   bool exists_node);
 void fill_mask(WorkingSet& ws, const NodeEdgeCheckableLcl& pi,

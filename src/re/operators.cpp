@@ -81,6 +81,8 @@ ReStep apply(const NodeEdgeCheckableLcl& pi, const ReLimits& limits,
     } else {
       fill_generic(*ws, pi, exists_node);
     }
+    // The candidates the fill kept; over `configs`, its acceptance ratio.
+    LCL_OBS_SPAN_ARG(span, "accepted", ws->configs());
     ws->finish();
     ws->check_buildable(pi.input_alphabet());
     if (!reduce) {

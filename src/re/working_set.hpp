@@ -260,6 +260,12 @@ class WorkingSet {
   void finish();
 
   std::size_t labels() const { return labels_; }
+  /// The node configurations of every degree plus the edges in the lists.
+  std::size_t configs() const {
+    std::size_t count = edges_.size();
+    for (const auto& c : node_) count += c.size();
+    return count;
+  }
   const LabelMap& map() const { return map_; }
   bool constraints_empty() const {
     return edges_.empty() ||

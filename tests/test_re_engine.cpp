@@ -401,6 +401,48 @@ TEST(EngineHeldLevels, ARunUnderOtherLimitsStartsOver) {
   }
 }
 
+/// A memo that holds nothing: it computes every step and verdict, and counts
+/// the steps it is asked for.
+class CountingMemo final : public SpeedupEngine::Memo {
+ public:
+  Step step(const NodeEdgeCheckableLcl& /*current*/,
+            const SpeedupEngine::Options& /*options*/,
+            const std::function<Step()>& compute) override {
+    ++steps;
+    return compute();
+  }
+  bool zero_round(const NodeEdgeCheckableLcl& /*problem*/,
+                  const std::vector<int>& /*degrees*/,
+                  const std::function<bool()>& compute) override {
+    return compute();
+  }
+
+  int steps = 0;
+};
+
+TEST(EngineHeldLevels, AFailedStepIsTakenOnce) {
+  // The survey's three runs of one engine: cycles, paths, forests. No
+  // iterate of 3-coloring on paths is 0-round solvable, and a step past
+  // the first exceeds the default limits, so each run ends at that step.
+  std::vector<SpeedupEngine::Options> runs(3);
+  runs[0].degrees = {2};
+  runs[1].degrees = {1, 2};
+  const auto problem = problems::coloring(3, 2);
+  CountingMemo memo;
+  SpeedupEngine engine(problem);
+  std::size_t levels = 0;
+  for (const auto& options : runs) {
+    SpeedupEngine fresh(problem);
+    const auto want = fresh.run(options);
+    ASSERT_TRUE(want.budget_exhausted);
+    ASSERT_FALSE(want.steps.empty());
+    levels = want.steps.size();
+    expect_same_outcome(engine.run(options, &memo), want);
+  }
+  // Each level once, and the step that failed once.
+  EXPECT_EQ(memo.steps, static_cast<int>(levels) + 1);
+}
+
 /// The exhaustive Delta=3 l=2 member `name`.
 NodeEdgeCheckableLcl d3l2_member(const std::string& name) {
   batch::ExhaustiveFamilyOptions family;

@@ -97,7 +97,7 @@ NodeEdgeCheckableLcl one_label_at_degree(int degree) {
 }
 
 TEST(ReKernelParity, HighDegreesAgreeWithGeneric) {
-  // The mask kernel's slot matching must track any number of slots:
+  // The mask kernel's node DP must rank tuples of any number of slots:
   // 32/33 and 64/65 bracket the degrees a 32- or 64-bit slot mask would
   // overflow.
   for (const int degree : {32, 33, 64, 65}) {
@@ -484,6 +484,27 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) == ReKernel::kMask ? "_mask_jobs1"
                                                          : "_generic_jobs1");
     });
+
+// The problems the engine hands the kernels: every member of the exhaustive
+// families Delta = 2, 3, 4 at l = 2, its first level (psi, then the reduced
+// iterate f(pi)), and the psi of that iterate's step.
+TEST(ReKernelParity, ExhaustiveFamiliesAndTheirIteratesDeriveIdentically) {
+  std::size_t problems = 0;
+  const auto agree = [&](const NodeEdgeCheckableLcl& p) {
+    expect_kernels_agree(p);
+    ++problems;
+  };
+  for (const char* family : {"d2l2", "d3l2", "d4l2"}) {
+    for (const auto& pi : family_problems(family)) {
+      agree(pi);
+      const SequenceLevel first = speedup_step(pi, ReLimits{});
+      agree(first.psi.problem);
+      agree(first.next.problem);
+      agree(speedup_step(first.next.problem, ReLimits{}).psi.problem);
+    }
+  }
+  EXPECT_EQ(problems, 4u * (49u + 105u + 217u));
+}
 
 // A two-input problem whose second input permits no output label: both
 // `lint::build_spec` and reduce's build accept such a problem, but

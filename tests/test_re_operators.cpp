@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -217,17 +218,17 @@ TEST(Reduce, TrimmingThatEmptiesTheNodeConstraintThrows) {
 }
 
 #if LCL_OBS
-/// Reduces `problem` under a trace session and returns the args of the
-/// `re/reduce` span it records.
-std::map<std::string, std::int64_t> traced_reduce(
-    const NodeEdgeCheckableLcl& problem, Reduction& out) {
+/// Calls `run` under a trace session and returns the args of the first
+/// `span` span it records.
+std::map<std::string, std::int64_t> traced_span_args(
+    const std::string& span, const std::function<void()>& run) {
   const std::string path =
-      testing::TempDir() + "lcl_reduce_" +
+      testing::TempDir() + "lcl_trace_" +
       testing::UnitTest::GetInstance()->current_test_info()->name() + ".jsonl";
   {
     obs::TraceSession session(path, obs::TraceFormat::kJsonl);
     obs::TraceSession* previous = obs::TraceSession::set_current(&session);
-    out = reduce(problem);
+    run();
     obs::TraceSession::set_current(previous);
     session.close();
   }
@@ -238,13 +239,31 @@ std::map<std::string, std::int64_t> traced_reduce(
   std::string error;
   EXPECT_TRUE(obs::parse_trace(text.str(), &trace, &error)) << error;
   for (const auto& record : trace.records) {
-    if (record.kind == obs::TraceRecord::Kind::kSpan &&
-        record.name == "re/reduce") {
+    if (record.kind == obs::TraceRecord::Kind::kSpan && record.name == span) {
       return record.args;
     }
   }
-  ADD_FAILURE() << "no re/reduce span in " << path;
+  ADD_FAILURE() << "no " << span << " span in " << path;
   return {};
+}
+
+TEST(ApplyRbar, AcceptedArgCountsTheConfigurationsTheFillKept) {
+  // The `accepted` arg of an operator span is what the fill appended: with
+  // reduce off, every node and edge configuration of the derived problem.
+  for (const auto& pi : {problems::mis(3), problems::coloring(3, 3),
+                         problems::sinkless_orientation(3)}) {
+    for (const bool use_r : {true, false}) {
+      SCOPED_TRACE(pi.name() + (use_r ? " / R" : " / Rbar"));
+      ReStep step;
+      const auto args = traced_span_args(use_r ? "re/R" : "re/Rbar", [&] {
+        step = use_r ? apply_r(pi) : apply_rbar(pi);
+      });
+      EXPECT_EQ(args.at("accepted"),
+                static_cast<std::int64_t>(step.problem.total_node_configs() +
+                                          step.problem.edge_configs().size()));
+      EXPECT_LT(args.at("accepted"), args.at("configs"));
+    }
+  }
 }
 #endif  // LCL_OBS
 
@@ -267,7 +286,8 @@ TEST(Reduce, DominationChainDropsInOnePass) {
 
   Reduction red;
 #if LCL_OBS
-  const auto args = traced_reduce(problem, red);
+  const auto args =
+      traced_span_args("re/reduce", [&] { red = reduce(problem); });
   EXPECT_EQ(args.at("dominate_passes"), 1);
   EXPECT_EQ(args.at("dominated"), 2);
   EXPECT_EQ(args.at("trim_passes"), 0);
@@ -356,7 +376,8 @@ TEST(Reduce, FiveHundredElevenLabelIterateReducesInOneMergePass) {
   ASSERT_EQ(wide.problem.output_alphabet().size(), 511u);
 
   Reduction red;
-  const auto args = traced_reduce(wide.problem, red);
+  const auto args =
+      traced_span_args("re/reduce", [&] { red = reduce(wide.problem); });
   EXPECT_EQ(red.problem.output_alphabet().size(), 14u);
   EXPECT_EQ(args.at("labels_in"), 511);
   EXPECT_EQ(args.at("labels_out"), 14);
