@@ -26,6 +26,21 @@ void mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// `problem` as a disk record writes it: no problem name, and input and
+/// output labels named by their index. No key, hit or report column reads
+/// a stored name, so a record depends only on the constraints it holds,
+/// not on which member stored it first.
+obs::json::Value nameless_spec(const NodeEdgeCheckableLcl& problem) {
+  lint::ProblemSpec spec = lint::spec_from_problem(problem);
+  spec.name.clear();
+  for (auto* names : {&spec.inputs, &spec.outputs}) {
+    for (std::size_t i = 0; i < names->size(); ++i) {
+      (*names)[i] = std::to_string(i);
+    }
+  }
+  return lint::spec_to_json_value(spec);
+}
+
 }  // namespace
 
 std::uint64_t constraint_signature(const NodeEdgeCheckableLcl& problem) {
@@ -189,12 +204,10 @@ void Cache::append_disk_locked(const Entry& entry) {
   obs::json::Value record = obs::json::Value::make_object();
   record.object()["kind"] = obs::json::Value(entry.kind);
   record.object()["sig"] = obs::json::Value(std::to_string(entry.signature));
-  record.object()["problem"] =
-      lint::spec_to_json_value(lint::spec_from_problem(entry.problem));
+  record.object()["problem"] = nameless_spec(entry.problem);
   record.object()["value"] = entry.value;
   if (entry.next) {
-    record.object()["value"].object()["next"] =
-        lint::spec_to_json_value(lint::spec_from_problem(*entry.next));
+    record.object()["value"].object()["next"] = nameless_spec(*entry.next);
   }
   if (!entry.canonical_eligible) {
     record.object()["canon"] = obs::json::Value(false);

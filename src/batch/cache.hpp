@@ -54,10 +54,13 @@ struct CacheStats {
 
 /// Content-addressed result cache for landscape surveys: maps
 /// `(kind, problem constraints)` to a JSON value, where `kind` names what
-/// was computed ("step:...", "engine:...", "cycle:...", ...). Problems are
-/// addressed by `constraint_signature`, and a hit is only served after the
-/// stored problem is confirmed via `same_constraints` - a signature
-/// collision therefore costs one extra comparison, never a wrong answer.
+/// was computed and under which options. A survey stores four kinds: one
+/// "member:..." entry per member (its verdict columns), the engine memo's
+/// "step:..." iterates and "zr:..." 0-round verdicts, and "check:..."
+/// brute-force verdicts. Problems are addressed by `constraint_signature`,
+/// and a hit is only served after the stored problem is confirmed via
+/// `same_constraints` - a signature collision therefore costs one extra
+/// comparison, never a wrong answer.
 /// An entry may also hold a problem derived from its key (the survey's
 /// "step:" entries hold the next reduced iterate; see `insert`).
 ///
@@ -73,8 +76,10 @@ struct CacheStats {
 ///  - optional append-only JSONL file (`Options::disk_path`) in the
 ///    fuzz/lint spec-JSON dialect: one self-contained record per line,
 ///    `{"kind":.., "sig":.., "problem": <spec>, "value": ..}`, where a
-///    derived problem is the value's "next" field. Every insert is appended
-///    and flushed, so a killed survey loses at most a torn trailing line;
+///    derived problem is the value's "next" field. A record's specs carry
+///    no problem name and name each label by its index, so its bytes depend
+///    only on its constraints. Every insert is appended and flushed, so a
+///    killed survey loses at most a torn trailing line;
 ///    reopening with `load_existing` replays the file (the `--resume`
 ///    path). Signatures are recomputed from the stored problem on load, so
 ///    the file survives signature-function changes.

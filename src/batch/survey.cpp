@@ -9,7 +9,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #include "batch/pool.hpp"
@@ -57,10 +56,10 @@ json::Value solvable_value(bool solvable) {
 /// `problem`, or else what `compute()` returns - a JSON value, or a whole
 /// `Cache::Hit` when it derives a problem - which is stored. Callers read
 /// their columns from the returned value, so a hit and a miss fill them
-/// the same way. `form`, the problem's canonical form, is passed for the
-/// kinds whose payloads name no label ("engine:", "cycle:", "path:",
-/// "check:"), which a canonical-tier hit therefore replays verbatim. Without
-/// a cache this is `compute()`.
+/// the same way. `form`, the problem's canonical form, is passed only for
+/// the "member:" kind, whose payload names no label and depends on no label
+/// order, so a canonical-tier hit replays it verbatim. Without a cache this
+/// is `compute()`.
 template <typename Compute>
 Cache::Hit cached(Cache* cache, const std::string& kind,
                   const NodeEdgeCheckableLcl& problem,
@@ -133,73 +132,119 @@ class CacheMemo final : public SpeedupEngine::Memo {
   bool verdicts_;
 };
 
-/// Stands for the base problem's name in a stored engine note.
+/// Stands for the member's name in a stored note.
 constexpr char kNameMarker = '\x1f';
 
-/// Fills `out`'s engine columns with what `SpeedupEngine::run` reports for
-/// `base`. The whole run is memoized per base problem, and on a miss
-/// `engine()`, the member's engine over `base` renamed to `kNameMarker`,
-/// runs with `memo`, so base problems whose sequences merge (common after
-/// reduction) share the tail. The marker name makes the run's note (naming
-/// iterates such as `Rbar(R(<name>))`) a template: every replay renders it
-/// with the requesting member's name, whichever member stored it. Notes
-/// stored without the marker replay verbatim.
-void cached_speedup(const NodeEdgeCheckableLcl& base,
-                    const std::function<SpeedupEngine&()>& engine,
-                    const SpeedupEngine::Options& options, Cache* cache,
-                    SpeedupEngine::Memo* memo,
-                    const lint::CanonicalForm* base_form,
-                    ProblemOutcome& out) {
-  const std::string kind =
-      "engine:" + degrees_tag(options.degrees) + ":s" +
-      std::to_string(options.max_steps) + ":l" +
-      std::to_string(options.limits.max_labels) + ":c" +
-      std::to_string(options.limits.max_configs) +
-      (options.reduce ? ":r" : ":f");
-  const Cache::Hit hit = cached(cache, kind, base, base_form, [&]() {
-    const auto outcome = engine().run(options, memo);
-    json::Value value = json::Value::make_object();
-    auto& object = value.object();
-    object["zero_round_step"] =
-        json::Value(static_cast<std::int64_t>(outcome.zero_round_step));
-    object["steps_applied"] =
-        json::Value(static_cast<std::int64_t>(outcome.steps.size()));
-    object["fixed_point"] = json::Value(outcome.fixed_point);
-    object["budget_exhausted"] = json::Value(outcome.budget_exhausted);
-    object["detected_unsolvable"] = json::Value(outcome.detected_unsolvable);
-    object["preflight_dead_labels"] =
-        json::Value(static_cast<std::int64_t>(outcome.preflight_dead_labels));
-    object["message"] = json::Value(outcome.blowup_message);
-    return value;
-  });
-  const auto read_int = [&hit](const char* key, auto& field) {
-    if (const auto* v = hit.value.find(key); v != nullptr && v->is_number()) {
-      field = static_cast<std::remove_reference_t<decltype(field)>>(v->as_int());
-    }
-  };
-  const auto read_bool = [&hit](const char* key, bool& field) {
-    if (const auto* v = hit.value.find(key); v != nullptr && v->is_bool()) {
-      field = v->as_bool();
-    }
-  };
-  read_int("zero_round_step", out.zero_round_step);
-  read_int("steps_applied", out.steps_applied);
-  read_int("preflight_dead_labels", out.preflight_dead_labels);
-  read_bool("fixed_point", out.fixed_point);
-  read_bool("budget_exhausted", out.budget_exhausted);
-  read_bool("detected_unsolvable", out.detected_unsolvable);
-  if (const auto* m = hit.value.find("message");
-      m != nullptr && m->is_string()) {
-    out.note = m->as_string();
+/// The strict field readers of a report row and of a "member:" value: each
+/// throws `std::runtime_error` naming a missing or mistyped field.
+const json::Value& field(const json::Value& row, const char* key,
+                         bool (json::Value::*is)() const noexcept,
+                         const char* type) {
+  const auto* v = row.find(key);
+  if (v == nullptr || !(v->*is)()) {
+    throw std::runtime_error(std::string("survey row is missing ") + type +
+                             " field \"" + key + "\"");
   }
-  for (auto at = out.note.find(kNameMarker); at != std::string::npos;
-       at = out.note.find(kNameMarker, at + base.name().size())) {
-    out.note.replace(at, 1, base.name());
-  }
+  return *v;
 }
 
-bool classifiers_applicable(const NodeEdgeCheckableLcl& problem) {
-  return problem.input_alphabet().size() == 1 && problem.max_degree() >= 2;
+const std::string& require_string(const json::Value& row, const char* key) {
+  return field(row, key, &json::Value::is_string, "string").as_string();
+}
+
+template <typename Int>
+void read_int(const json::Value& row, const char* key, Int& out) {
+  out = static_cast<Int>(
+      field(row, key, &json::Value::is_number, "numeric").as_int());
+}
+
+void read_bool(const json::Value& row, const char* key, bool& out) {
+  out = field(row, key, &json::Value::is_bool, "boolean").as_bool();
+}
+
+/// The columns a "member:" entry holds - the classifiers' verdicts and the
+/// speedup certificate - under the row's own field names. A report row
+/// writes and reads them through the same pair.
+void write_verdict_columns(const ProblemOutcome& o,
+                           std::map<std::string, json::Value>& fields) {
+  fields["cycle"] = json::Value(o.cycle_class);
+  fields["path"] = json::Value(o.path_class);
+  fields["zero_round_step"] =
+      json::Value(static_cast<std::int64_t>(o.zero_round_step));
+  fields["steps_applied"] =
+      json::Value(static_cast<std::int64_t>(o.steps_applied));
+  fields["fixed_point"] = json::Value(o.fixed_point);
+  fields["budget_exhausted"] = json::Value(o.budget_exhausted);
+  fields["detected_unsolvable"] = json::Value(o.detected_unsolvable);
+  fields["preflight_dead_labels"] =
+      json::Value(static_cast<std::int64_t>(o.preflight_dead_labels));
+  fields["note"] = json::Value(o.note);
+}
+
+void read_verdict_columns(const json::Value& row, ProblemOutcome& o) {
+  o.cycle_class = require_string(row, "cycle");
+  o.path_class = require_string(row, "path");
+  read_int(row, "zero_round_step", o.zero_round_step);
+  read_int(row, "steps_applied", o.steps_applied);
+  read_bool(row, "fixed_point", o.fixed_point);
+  read_bool(row, "budget_exhausted", o.budget_exhausted);
+  read_bool(row, "detected_unsolvable", o.detected_unsolvable);
+  read_int(row, "preflight_dead_labels", o.preflight_dead_labels);
+  o.note = require_string(row, "note");
+}
+
+/// The "member:" kind: every option the verdict columns read.
+std::string member_kind(const SurveyOptions& options) {
+  const SpeedupEngine::Options& engine = options.engine;
+  return "member:" + degrees_tag(engine.degrees) + ":s" +
+         std::to_string(engine.max_steps) + ":l" +
+         std::to_string(engine.limits.max_labels) + ":c" +
+         std::to_string(engine.limits.max_configs) +
+         (engine.reduce ? ":r" : ":f") + ":k" +
+         std::to_string(kClassifierSpeedupSteps) +
+         (options.classify_cycles ? "C" : "-") +
+         (options.classify_paths ? "P" : "-");
+}
+
+/// Writes every verdict column of `out` from the member's one engine: the
+/// cycle classifier, the path classifier, then the certificate, which walks
+/// the levels they left. The engine runs on `problem` renamed to
+/// `kNameMarker`, so the certificate's note (naming iterates such as
+/// `Rbar(R(<name>))`) is a template that `survey_member` renders with the
+/// requesting member's name, whichever member stored it. With a cache,
+/// steps go through its "step:" memo, and the certificate's 0-round
+/// verdicts through "zr:".
+void compute_verdicts(const NodeEdgeCheckableLcl& problem,
+                      const SurveyOptions& options, ProblemOutcome& out) {
+  std::optional<CacheMemo> memo, step_memo;
+  if (options.cache != nullptr) {
+    memo.emplace(*options.cache, /*verdicts=*/true);
+    step_memo.emplace(*options.cache, /*verdicts=*/false);
+  }
+  out.cycle_class = out.path_class = "n/a";
+  SpeedupEngine engine(
+      NodeEdgeCheckableLcl(problem).renamed(std::string(1, kNameMarker)));
+  // The chain classifiers take problems without inputs and with Delta >= 2.
+  if (problem.input_alphabet().size() == 1 && problem.max_degree() >= 2) {
+    const int steps = kClassifierSpeedupSteps;
+    SpeedupEngine::Memo* const steps_only = step_memo ? &*step_memo : nullptr;
+    if (options.classify_cycles) {
+      out.cycle_class = to_string(
+          classify_on_cycles(engine, steps, steps_only).complexity);
+    }
+    if (options.classify_paths) {
+      out.path_class =
+          to_string(classify_on_paths(engine, steps, steps_only).complexity);
+    }
+  }
+  const auto outcome = engine.run(options.engine, memo ? &*memo : nullptr);
+  out.zero_round_step = outcome.zero_round_step;
+  out.steps_applied = static_cast<int>(outcome.steps.size());
+  out.fixed_point = outcome.fixed_point;
+  out.budget_exhausted = outcome.budget_exhausted;
+  out.detected_unsolvable = outcome.detected_unsolvable;
+  out.preflight_dead_labels = outcome.preflight_dead_labels;
+  out.note = outcome.blowup_message;
 }
 
 }  // namespace
@@ -218,13 +263,8 @@ ProblemOutcome survey_member(const FamilyMember& member,
 
   try {
     Cache* cache = options.cache;
-    std::optional<CacheMemo> memo, step_memo;
-    if (cache != nullptr) {
-      memo.emplace(*cache, /*verdicts=*/true);
-      step_memo.emplace(*cache, /*verdicts=*/false);
-    }
     // One orbit search per member, shared by the canonical-key column and
-    // every canonical-tier lookup below. The key is permutation-invariant
+    // the member's canonical-tier lookup. The key is permutation-invariant
     // only when the search completed; an exhausted form falls back to the
     // raw constraint signature (grouping only exact duplicates), so the
     // report never claims two members equivalent on a truncated search.
@@ -234,58 +274,34 @@ ProblemOutcome survey_member(const FamilyMember& member,
         canonical.complete
             ? hex_signature(lint::spec_signature(canonical.spec))
             : hex_signature(out.signature) + "/incomplete";
-    const lint::CanonicalForm* form = &canonical;
-    // The member's one engine, built on first use: the classifiers run it,
-    // then the `engine:` certificate walks the levels they left.
-    std::optional<SpeedupEngine> member_engine;
-    const auto engine = [&]() -> SpeedupEngine& {
-      if (member_engine) return *member_engine;
-      return member_engine.emplace(
-          NodeEdgeCheckableLcl(problem).renamed(std::string(1, kNameMarker)));
-    };
-    if (classifiers_applicable(problem)) {
-      const auto classify = [&](const std::string& kind,
-                                const auto& verdict_of, std::string& column) {
-        const Cache::Hit hit = cached(cache, kind, problem, form, [&]() {
-          const auto verdict = verdict_of();
+
+    // The member's one entry. Its columns are unchanged by renaming output
+    // labels, so a permuted member replays it. A value the strict reader
+    // refuses (a hand-edited tier) is recomputed.
+    const Cache::Hit hit =
+        cached(cache, member_kind(options), problem, &canonical, [&]() {
+          compute_verdicts(problem, options, out);
           json::Value value = json::Value::make_object();
-          value.object()["complexity"] =
-              json::Value(to_string(verdict.complexity));
-          value.object()["collapse"] = json::Value(
-              static_cast<std::int64_t>(verdict.zero_round_collapse_step));
-          value.object()["pruned"] =
-              json::Value(static_cast<std::int64_t>(verdict.pruned_labels));
+          write_verdict_columns(out, value.object());
           return value;
         });
-        if (const auto* c = hit.value.find("complexity");
-            c != nullptr && c->is_string()) {
-          column = c->as_string();
-        }
-      };
-      const int steps = kClassifierSpeedupSteps;
-      SpeedupEngine::Memo* const steps_only = step_memo ? &*step_memo : nullptr;
-      if (options.classify_cycles) {
-        classify(
-            "cycle:s" + std::to_string(steps),
-            [&]() { return classify_on_cycles(engine(), steps, steps_only); },
-            out.cycle_class);
-      }
-      if (options.classify_paths) {
-        classify(
-            "path:s" + std::to_string(steps),
-            [&]() { return classify_on_paths(engine(), steps, steps_only); },
-            out.path_class);
-      }
+    try {
+      read_verdict_columns(hit.value, out);
+    } catch (const std::runtime_error&) {
+      compute_verdicts(problem, options, out);
+    }
+    for (auto at = out.note.find(kNameMarker); at != std::string::npos;
+         at = out.note.find(kNameMarker, at + problem.name().size())) {
+      out.note.replace(at, 1, problem.name());
     }
 
-    cached_speedup(problem, engine, options.engine, cache,
-                   memo ? &*memo : nullptr, form, out);
-
     if (options.check_nodes >= 2) {
+      // Whether the search finishes within the budget depends on the label
+      // order, so the verdict stays on the exact tier: no form.
       const std::string kind = "check:n" +
                                std::to_string(options.check_nodes) + ":b" +
                                std::to_string(options.check_budget);
-      const Cache::Hit hit = cached(cache, kind, problem, form, [&]() {
+      const Cache::Hit hit = cached(cache, kind, problem, nullptr, [&]() {
         const Graph graph = make_path(options.check_nodes);
         return solvable_value(brute_force_solvable(
             problem, graph, uniform_labeling(graph, 0), options.check_budget));
@@ -577,20 +593,9 @@ json::Value outcome_to_json_value(const ProblemOutcome& o) {
       json::Value(static_cast<std::int64_t>(o.node_configs));
   fields["edge_configs"] =
       json::Value(static_cast<std::int64_t>(o.edge_configs));
-  fields["cycle"] = json::Value(o.cycle_class);
-  fields["path"] = json::Value(o.path_class);
+  write_verdict_columns(o, fields);
   fields["class"] = json::Value(o.landscape_class);
-  fields["zero_round_step"] =
-      json::Value(static_cast<std::int64_t>(o.zero_round_step));
-  fields["steps_applied"] =
-      json::Value(static_cast<std::int64_t>(o.steps_applied));
-  fields["fixed_point"] = json::Value(o.fixed_point);
-  fields["budget_exhausted"] = json::Value(o.budget_exhausted);
-  fields["detected_unsolvable"] = json::Value(o.detected_unsolvable);
-  fields["preflight_dead_labels"] =
-      json::Value(static_cast<std::int64_t>(o.preflight_dead_labels));
   fields["check"] = json::Value(o.check);
-  fields["note"] = json::Value(o.note);
   fields["error"] = json::Value(o.error);
   fields["error_budget"] =
       json::Value(static_cast<std::int64_t>(o.error_budget));
@@ -601,53 +606,18 @@ ProblemOutcome outcome_from_json_value(const json::Value& row) {
   if (!row.is_object()) {
     throw std::runtime_error("survey row is not a JSON object");
   }
-  const auto require_string = [&row](const char* key) -> const std::string& {
-    const auto* v = row.find(key);
-    if (v == nullptr || !v->is_string()) {
-      throw std::runtime_error(std::string("survey row is missing string "
-                                           "field \"") +
-                               key + "\"");
-    }
-    return v->as_string();
-  };
-  const auto read_int = [&row](const char* key, auto& out) {
-    const auto* v = row.find(key);
-    if (v == nullptr || !v->is_number()) {
-      throw std::runtime_error(std::string("survey row is missing numeric "
-                                           "field \"") +
-                               key + "\"");
-    }
-    out = static_cast<std::remove_reference_t<decltype(out)>>(v->as_int());
-  };
-  const auto read_bool = [&row](const char* key, bool& out) {
-    const auto* v = row.find(key);
-    if (v == nullptr || !v->is_bool()) {
-      throw std::runtime_error(std::string("survey row is missing boolean "
-                                           "field \"") +
-                               key + "\"");
-    }
-    out = v->as_bool();
-  };
   ProblemOutcome o;
-  o.name = require_string("name");
-  o.key = require_string("key");
-  o.canonical_key = require_string("canonical_key");
-  read_int("labels", o.labels);
-  read_int("node_configs", o.node_configs);
-  read_int("edge_configs", o.edge_configs);
-  o.cycle_class = require_string("cycle");
-  o.path_class = require_string("path");
-  o.landscape_class = require_string("class");
-  read_int("zero_round_step", o.zero_round_step);
-  read_int("steps_applied", o.steps_applied);
-  read_bool("fixed_point", o.fixed_point);
-  read_bool("budget_exhausted", o.budget_exhausted);
-  read_bool("detected_unsolvable", o.detected_unsolvable);
-  read_int("preflight_dead_labels", o.preflight_dead_labels);
-  o.check = require_string("check");
-  o.note = require_string("note");
-  o.error = require_string("error");
-  read_int("error_budget", o.error_budget);
+  o.name = require_string(row, "name");
+  o.key = require_string(row, "key");
+  o.canonical_key = require_string(row, "canonical_key");
+  read_int(row, "labels", o.labels);
+  read_int(row, "node_configs", o.node_configs);
+  read_int(row, "edge_configs", o.edge_configs);
+  read_verdict_columns(row, o);
+  o.landscape_class = require_string(row, "class");
+  o.check = require_string(row, "check");
+  o.error = require_string(row, "error");
+  read_int(row, "error_budget", o.error_budget);
   return o;
 }
 

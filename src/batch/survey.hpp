@@ -51,8 +51,8 @@ Family exhaustive_family(const ExhaustiveFamilyOptions& options);
 Family spec_dir_family(const std::string& dir);
 
 /// The speedup-step budget both classifiers get in a survey; the report
-/// echoes it (`SurveyReport::classifier_speedup_steps`) and it names the
-/// "cycle:s<N>" / "path:s<N>" cache kinds.
+/// echoes it (`SurveyReport::classifier_speedup_steps`) and the "member:"
+/// cache kind names it (`...:k<N>`).
 inline constexpr int kClassifierSpeedupSteps = 2;
 
 /// Knobs of one survey run. Everything that influences a *verdict* is part

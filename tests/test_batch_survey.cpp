@@ -346,9 +346,9 @@ TEST(Survey, PermutationEquivalentMembersResolveAsCanonicalHits) {
   ASSERT_EQ(report.outcomes.size(), 3u);
   EXPECT_EQ(report.canonical_classes, 1u);
   EXPECT_EQ(cache.stats().insertions, solo_insertions);
-  // N-1 = 2 members served through the canonical tier (at least their
-  // engine verdicts; the classifier verdicts ride the same tier).
-  EXPECT_GE(cache.stats().canonical_hits, 2u);
+  // N-1 = 2 members served through the canonical tier, one member entry
+  // each.
+  EXPECT_EQ(cache.stats().canonical_hits, 2u);
 
   for (const auto& outcome : report.outcomes) {
     EXPECT_TRUE(outcome.error.empty()) << outcome.name;
@@ -408,6 +408,56 @@ TEST(Survey, CanonicalReportIsDeterministicAcrossJobsAndCacheStates) {
   }
 }
 
+TEST(Survey, OneCacheEntryPerMember) {
+  // Delta=2 l=2 has 49 members in 29 label-permutation classes. A member's
+  // columns are one entry, so a cold canonical survey replays 20 of them
+  // through the canonical tier, and a warm rerun looks up nothing else.
+  const auto family = batch::exhaustive_family({});
+  auto options = default_options();
+  Cache::Options cache_options;
+  cache_options.canonical_tier = true;
+  Cache cache(std::move(cache_options));
+  options.cache = &cache;
+  const std::string cold = batch::run_survey(family, options).to_json();
+  EXPECT_EQ(cache.stats().canonical_hits, 20u);
+
+  const auto before = cache.stats();
+  EXPECT_EQ(batch::run_survey(family, options).to_json(), cold);
+  const auto after = cache.stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits + after.canonical_hits -
+                (before.hits + before.canonical_hits),
+            49u);
+  EXPECT_EQ(after.insertions, before.insertions);
+}
+
+TEST(Survey, ASharedCacheServesEachOptionSetItsOwnColumns) {
+  // The member entry's kind names every option its columns read, so
+  // surveys under different options that share one cache each get the
+  // columns their own options give.
+  const auto family = batch::exhaustive_family({});
+  std::vector<SurveyOptions> variants(8, default_options());
+  variants[1].classify_cycles = false;
+  variants[2].classify_paths = false;
+  variants[3].classify_cycles = variants[3].classify_paths = false;
+  variants[4].engine.max_steps = 1;
+  variants[5].engine.limits.max_labels = 7;
+  variants[6].engine.reduce = false;
+  variants[7].engine.degrees = {2};
+  Cache::Options cache_options;
+  cache_options.canonical_tier = true;
+  Cache cache(std::move(cache_options));
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    SCOPED_TRACE(i);
+    auto options = variants[i];
+    const std::string want = batch::run_survey(family, options).to_json();
+    options.cache = &cache;
+    EXPECT_EQ(batch::run_survey(family, options).to_json(), want);
+  }
+  // Each option set stored its own entries.
+  EXPECT_EQ(cache.stats().canonical_hits, 20u * variants.size());
+}
+
 /// The members of the exhaustive families named `names`, in that order.
 Family members_named(const std::vector<std::string>& names) {
   const auto d2l2 = batch::exhaustive_family({});
@@ -435,11 +485,144 @@ NodeEdgeCheckableLcl with_other_label_names(
   return lint::build_spec(spec);
 }
 
+TEST(Survey, BudgetBoundCheckIsIndependentOfTheCache) {
+  // Two members of one canonical class. Whether the brute-force search
+  // finishes within its budget depends on the label order: on the 12-node
+  // path with a budget of 40 the first finishes and the second exhausts
+  // it. Neither may replay the other's verdict.
+  const Family family = members_named({"d2l3-n13-e56", "d2l3-n44-e11"});
+  ASSERT_EQ(family.members.size(), 2u);
+  auto options = default_options();
+  options.check_nodes = 12;
+  options.check_budget = 40;
+  const auto uncached = batch::run_survey(family, options);
+  ASSERT_EQ(uncached.outcomes.size(), 2u);
+  EXPECT_EQ(uncached.outcomes[0].canonical_key,
+            uncached.outcomes[1].canonical_key);
+  EXPECT_EQ(uncached.errors, 1u);
+  const std::string want = uncached.to_json();
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    Cache::Options cache_options;
+    cache_options.canonical_tier = true;
+    Cache cache(std::move(cache_options));
+    options.cache = &cache;
+    options.jobs = jobs;
+    EXPECT_EQ(batch::run_survey(family, options).to_json(), want);
+    // Warm: the cold run's entries are all there.
+    EXPECT_EQ(batch::run_survey(family, options).to_json(), want);
+  }
+}
+
+TEST(SurveyStepTier, TierBytesDoNotDependOnWhichMemberStoredThem) {
+  // One problem under two sets of names. Whichever member a survey reaches
+  // first stores the entries; the disk tiers hold the same records.
+  const Family one = members_named({"d2l3-n19-e12"});
+  ASSERT_EQ(one.members.size(), 1u);
+  const FamilyMember renamed{
+      "renamed",
+      with_other_label_names(one.members[0].problem).renamed("renamed")};
+  const auto tier_of = [](const Family& family, const std::string& path) {
+    std::remove(path.c_str());
+    {
+      Cache::Options cache_options;
+      cache_options.disk_path = path;
+      cache_options.load_existing = false;
+      Cache cache(std::move(cache_options));
+      auto options = default_options();
+      options.cache = &cache;
+      (void)batch::run_survey(family, options);
+    }
+    return read_file(path);
+  };
+  Family forward = one, backward;
+  forward.members.push_back(renamed);
+  backward.members = {renamed, one.members[0]};
+  const std::string a =
+      tier_of(forward, testing::TempDir() + "lcl_batch_tier_forward.jsonl");
+  const std::string b =
+      tier_of(backward, testing::TempDir() + "lcl_batch_tier_backward.jsonl");
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
+}
+
+TEST(SurveyStepTier, AMemberRecordMissingAColumnIsRecomputed) {
+  // The second member's note names an iterate of the member. A refused
+  // record gives the row no column: its `cycle` and `path` are edited too,
+  // which with the classifiers off nothing computed overwrites.
+  const Family family = members_named({"d2l2-n2-e2", "d2l3-n19-e12"});
+  ASSERT_EQ(family.members.size(), 2u);
+  for (const bool classify : {true, false}) {
+    SCOPED_TRACE(classify ? "classifiers on" : "classifiers off");
+    auto options = default_options();
+    options.classify_cycles = options.classify_paths = classify;
+    const std::string want = batch::run_survey(family, options).to_json();
+
+    const std::string path =
+        testing::TempDir() + "lcl_batch_member_tier.jsonl";
+    std::remove(path.c_str());
+    {
+      Cache::Options cache_options;
+      cache_options.disk_path = path;
+      cache_options.load_existing = false;
+      Cache cache(std::move(cache_options));
+      options.cache = &cache;
+      (void)batch::run_survey(family, options);
+    }
+    std::vector<obs::json::Value> records;
+    std::vector<std::string> columns;
+    std::istringstream lines(read_file(path));
+    for (std::string line; std::getline(lines, line);) {
+      const auto record = obs::json::parse(line, nullptr);
+      ASSERT_NE(record, nullptr) << line;
+      records.push_back(*record);
+      if (record->find("kind")->as_string().rfind("member:", 0) != 0) {
+        continue;
+      }
+      columns.clear();
+      for (const auto& [column, value] : record->find("value")->as_object()) {
+        columns.push_back(column);
+      }
+    }
+    // Every verdict column but `check`, under the row's own names.
+    ASSERT_EQ(columns, (std::vector<std::string>{
+                           "budget_exhausted", "cycle", "detected_unsolvable",
+                           "fixed_point", "note", "path",
+                           "preflight_dead_labels", "steps_applied",
+                           "zero_round_step"}));
+
+    for (const auto& column : columns) {
+      SCOPED_TRACE(column);
+      {
+        std::ofstream out(path, std::ios::trunc);
+        for (auto record : records) {
+          if (record.find("kind")->as_string().rfind("member:", 0) == 0) {
+            auto& value = record.object()["value"].object();
+            value["cycle"] = value["path"] =
+                obs::json::Value(std::string("edited"));
+            value.erase(column);
+          }
+          out << obs::json::dump(record) << '\n';
+        }
+      }
+      Cache::Options cache_options;
+      cache_options.disk_path = path;
+      cache_options.load_existing = true;
+      Cache cache(std::move(cache_options));
+      EXPECT_EQ(cache.stats().disk_skipped, 0u);
+      options.cache = &cache;
+      EXPECT_EQ(batch::run_survey(family, options).to_json(), want);
+    }
+  }
+}
+
 TEST(SurveyStepTier, ServedIterateLabelNamesReachNoRowColumn) {
   // A "step:" entry keeps the iterate under the label names of the member
-  // that computed it first, so a served iterate may carry another member's
-  // label names. Seed every step of each member's sequence under names no
-  // member uses, and every row column must still equal the uncached one.
+  // that computed it first (or, loaded from disk, names its labels by
+  // index), so a served iterate may carry other label names. Seed every
+  // step of each member's sequence under names no member uses, and every
+  // row column must still equal the uncached one.
   // The d2l3 members end in notes that name an iterate.
   const Family family =
       members_named({"d2l2-n2-e2", "d2l3-n19-e12", "d2l3-n34-e21"});
@@ -502,10 +685,15 @@ TEST(SurveyStepTier, ServedIterateLabelNamesReachNoRowColumn) {
 }
 
 #ifdef LCL_BATCH_GOLDEN_DIR
-/// The disk tier a jobs=1 survey of `d2l2-n2-e2` writes, captured before
-/// the memory tier kept iterates as objects: the "step:" records carry each
-/// iterate as the spec JSON in `value["next"]`.
+/// The disk tier a jobs=1 survey of `d2l2-n2-e2` writes: "step:" records
+/// carry each iterate as the spec JSON in `value["next"]`, every spec names
+/// its labels by index, and one "member:" record holds the row's verdict
+/// columns.
 const char kStepTierGolden[] = "/step-tier-d2l2-n2-e2.jsonl";
+/// The same survey's tier in the earlier format: named specs, and the
+/// verdicts in three records of kinds "cycle:", "path:" and "engine:".
+const char kThreeEntryTierGolden[] =
+    "/step-tier-d2l2-n2-e2-three-entries.jsonl";
 
 TEST(SurveyStepTier, DiskRecordsMatchThePinnedTier) {
   const std::string golden =
@@ -526,6 +714,8 @@ TEST(SurveyStepTier, DiskRecordsMatchThePinnedTier) {
   EXPECT_EQ(written, golden);
   EXPECT_NE(written.find(R"("kind":"step:r:l4096:c4000000")"),
             std::string::npos);
+  EXPECT_NE(written.find(R"("kind":"member:forest:s3:l4096:c4000000:r:k2CP")"),
+            std::string::npos);
 }
 
 TEST(SurveyStepTier, PinnedTierResumesWithoutMisses) {
@@ -545,14 +735,44 @@ TEST(SurveyStepTier, PinnedTierResumesWithoutMisses) {
     cache_options.disk_path = path;
     cache_options.load_existing = true;
     Cache cache(std::move(cache_options));
-    EXPECT_EQ(cache.stats().disk_loaded, 10u);
+    EXPECT_EQ(cache.stats().disk_loaded, 8u);
     EXPECT_EQ(cache.stats().disk_skipped, 0u);
     options.cache = &cache;
     resumed = batch::run_survey(family, options).to_json();
+    EXPECT_EQ(cache.stats().hits, 1u);  // the member entry alone
     EXPECT_EQ(cache.stats().misses, 0u);
     EXPECT_EQ(cache.stats().insertions, 0u);
   }
   EXPECT_EQ(read_file(path), golden);  // nothing appended
+  options.cache = nullptr;
+  EXPECT_EQ(resumed, batch::run_survey(family, options).to_json());
+}
+
+TEST(SurveyStepTier, ThreeEntryTierServesItsStepsAndMissesTheMemberEntry) {
+  const std::string golden =
+      read_file(std::string(LCL_BATCH_GOLDEN_DIR) + kThreeEntryTierGolden);
+  ASSERT_FALSE(golden.empty());
+  const std::string path =
+      testing::TempDir() + "lcl_batch_three_entry_resume.jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << golden;
+  }
+  const Family family = members_named({"d2l2-n2-e2"});
+  auto options = default_options();
+  Cache::Options cache_options;
+  cache_options.disk_path = path;
+  cache_options.load_existing = true;
+  Cache cache(std::move(cache_options));
+  EXPECT_EQ(cache.stats().disk_loaded, 10u);
+  EXPECT_EQ(cache.stats().disk_skipped, 0u);
+  options.cache = &cache;
+  const std::string resumed = batch::run_survey(family, options).to_json();
+  // The member entry is new; the engine it runs takes each of the tier's
+  // three "step:" and four "zr:" records from it once.
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 7u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
   options.cache = nullptr;
   EXPECT_EQ(resumed, batch::run_survey(family, options).to_json());
 }
@@ -657,8 +877,8 @@ TEST(OnePreflightPerEngine, ASurveyMemberBuildsOneEngine) {
   const auto survey = [&]() {
     report = batch::run_survey(family, default_options());
   };
-  // The classifiers and the `engine:` certificate run one engine: it trims
-  // the member once, and the certificate's third step is the only one the
+  // The classifiers and the certificate run one engine: it trims the
+  // member once, and the certificate's third step is the only one the
   // classifiers' two did not take.
   EXPECT_EQ(spans("re/preflight", survey), 1u);
   EXPECT_EQ(spans("re/step", survey), 3u);
